@@ -34,16 +34,15 @@ use std::time::Duration;
 
 const USAGE: &str = "usage: gcln <run|suite|table1|table2|table3|table4|code2inv|fig|inspect|serve> [args]
   run <file.loop|name> [--fast] [--json] [--deadline S] [--steps N] [--max-degree D] [--range LO:HI ...]
-                       [--train-chunk N]
-  suite <nla|linear>   [--fast] [--json] [--limit N] [--expect N] [--workers N] [--train-chunk N] [name ...]
-  table2               [--fast] [--json] [--expect N] [--workers N] [--train-chunk N] [name ...]
+  suite <nla|linear>   [--fast] [--json] [--limit N] [--expect N] [--workers N] [name ...]
+  table2               [--fast] [--json] [--expect N] [--workers N] [name ...]
   table3               [--all | name ...]
   table4               [--runs N]
-  code2inv             [--limit N] [--json] [--expect N] [--workers N] [--train-chunk N]
+  code2inv             [--limit N] [--json] [--expect N] [--workers N]
   fig <1|2|4|6|7|8|10> [args]
   inspect <problem>    [--bounds]
   serve                [--port P] [--workers N] [--queue-cap N] [--journal PATH] [--rate-limit RPS]
-                       [--journal-fsync always|never] [--faults SPEC] [--train-chunk N]";
+                       [--journal-fsync always|never] [--faults SPEC]";
 
 /// Parsed common flags; non-flag arguments are collected in order.
 #[derive(Debug, Default)]
@@ -61,7 +60,6 @@ struct Flags {
     runs: Option<u64>,
     port: Option<u16>,
     workers: Option<usize>,
-    train_chunk: Option<usize>,
     queue_cap: Option<usize>,
     journal: Option<String>,
     rate_limit: Option<f64>,
@@ -125,15 +123,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
                 f.workers =
                     Some(num("--workers")?.parse().map_err(|_| "--workers needs an integer")?)
             }
-            "--train-chunk" => {
-                let n: usize = num("--train-chunk")?
-                    .parse()
-                    .map_err(|_| "--train-chunk needs an integer")?;
-                if n == 0 {
-                    return Err("--train-chunk needs at least 1 attempt per task".into());
-                }
-                f.train_chunk = Some(n);
-            }
             "--queue-cap" => {
                 f.queue_cap =
                     Some(num("--queue-cap")?.parse().map_err(|_| "--queue-cap needs an integer")?)
@@ -182,7 +171,6 @@ impl Flags {
             ("--runs", self.runs.is_some()),
             ("--port", self.port.is_some()),
             ("--workers", self.workers.is_some()),
-            ("--train-chunk", self.train_chunk.is_some()),
             ("--queue-cap", self.queue_cap.is_some()),
             ("--journal", self.journal.is_some()),
             ("--rate-limit", self.rate_limit.is_some()),
@@ -212,20 +200,12 @@ pub fn main_with_args(args: &[String]) -> i32 {
         }
     };
     let allowed: &[&str] = match cmd.as_str() {
-        "run" => &[
-            "--fast",
-            "--json",
-            "--deadline",
-            "--steps",
-            "--max-degree",
-            "--range",
-            "--train-chunk",
-        ],
-        "suite" => &["--fast", "--json", "--limit", "--expect", "--workers", "--train-chunk"],
-        "table2" => &["--fast", "--json", "--expect", "--workers", "--train-chunk"],
+        "run" => &["--fast", "--json", "--deadline", "--steps", "--max-degree", "--range"],
+        "suite" => &["--fast", "--json", "--limit", "--expect", "--workers"],
+        "table2" => &["--fast", "--json", "--expect", "--workers"],
         "table3" => &["--all"],
         "table4" => &["--runs"],
-        "code2inv" => &["--limit", "--json", "--expect", "--workers", "--train-chunk"],
+        "code2inv" => &["--limit", "--json", "--expect", "--workers"],
         "inspect" => &["--bounds"],
         "serve" => &[
             "--port",
@@ -235,7 +215,6 @@ pub fn main_with_args(args: &[String]) -> i32 {
             "--rate-limit",
             "--journal-fsync",
             "--faults",
-            "--train-chunk",
         ],
         _ => &[],
     };
@@ -257,7 +236,6 @@ pub fn main_with_args(args: &[String]) -> i32 {
                 flags.limit.unwrap_or(usize::MAX),
                 filter,
                 flags.workers,
-                flags.train_chunk,
             ) {
                 Some(summary) => expect_code(&summary, flags.expect),
                 None => {
@@ -267,13 +245,7 @@ pub fn main_with_args(args: &[String]) -> i32 {
             }
         }
         "table2" => {
-            let summary = tables::table2(
-                &flags.rest,
-                flags.fast,
-                flags.json,
-                flags.workers,
-                flags.train_chunk,
-            );
+            let summary = tables::table2(&flags.rest, flags.fast, flags.json, flags.workers);
             expect_code(&summary, flags.expect)
         }
         "table3" => {
@@ -289,12 +261,8 @@ pub fn main_with_args(args: &[String]) -> i32 {
             0
         }
         "code2inv" => {
-            let summary = tables::code2inv(
-                flags.limit.unwrap_or(usize::MAX),
-                flags.json,
-                flags.workers,
-                flags.train_chunk,
-            );
+            let summary =
+                tables::code2inv(flags.limit.unwrap_or(usize::MAX), flags.json, flags.workers);
             expect_code(&summary, flags.expect)
         }
         "table1" => {
@@ -385,7 +353,10 @@ fn cmd_run(flags: &Flags) -> i32 {
         return 1;
     };
     let mut spec = spec;
-    spec.apply_overrides(flags.max_degree, &flags.ranges);
+    if let Err(e) = spec.apply_overrides(flags.max_degree, &flags.ranges) {
+        eprintln!("error: {e}");
+        return 1;
+    }
     if flags.json {
         for note in &spec.derived {
             println!(r#"{{"event":"derived","note":{}}}"#, json_string(note));
@@ -396,10 +367,7 @@ fn cmd_run(flags: &Flags) -> i32 {
         }
     }
 
-    let mut config = if flags.fast { PipelineConfig::fast() } else { PipelineConfig::default() };
-    if let Some(chunk) = flags.train_chunk {
-        config.train_chunk_size = chunk;
-    }
+    let config = if flags.fast { PipelineConfig::fast() } else { PipelineConfig::default() };
     let mut job = Job::new(spec.clone()).with_config(config);
     if let Some(secs) = flags.deadline {
         match Duration::try_from_secs_f64(secs) {
@@ -514,7 +482,6 @@ fn cmd_serve(flags: &Flags) -> i32 {
         rate_limit: flags.rate_limit.map(gcln_serve::RateLimit::per_sec),
         journal_fsync,
         faults,
-        train_chunk_size: flags.train_chunk.unwrap_or(1),
         ..gcln_serve::ServeConfig::default()
     };
     let journal_note = match &config.journal {

@@ -24,7 +24,7 @@ pub fn emit_json(summary: &SuiteSummary) {
 /// The suite-level `--fast` profile, shared by `table2` and `suite` so
 /// the same flag means the same run on the same problems. (It differs
 /// deliberately from [`PipelineConfig::fast`], the cheaper
-/// single-program profile of `gcln run`/`invgen`.)
+/// single-program profile of `gcln run`.)
 fn fast_suite_config() -> PipelineConfig {
     PipelineConfig {
         gcln: GclnConfig { max_epochs: 1200, ..GclnConfig::default() },
@@ -35,17 +35,8 @@ fn fast_suite_config() -> PipelineConfig {
 
 /// **Table 2**: per-problem results on the 27-problem NLA nonlinear
 /// benchmark (problem, degree, #vars, G-CLN solved?, runtime).
-pub fn table2(
-    filter: &[String],
-    fast: bool,
-    json: bool,
-    workers: Option<usize>,
-    train_chunk: Option<usize>,
-) -> SuiteSummary {
-    let mut config = if fast { fast_suite_config() } else { PipelineConfig::default() };
-    if let Some(chunk) = train_chunk {
-        config.train_chunk_size = chunk;
-    }
+pub fn table2(filter: &[String], fast: bool, json: bool, workers: Option<usize>) -> SuiteSummary {
+    let config = if fast { fast_suite_config() } else { PipelineConfig::default() };
     let problems: Vec<Problem> = nla_suite()
         .into_iter()
         .filter(|p| filter.is_empty() || filter.contains(&p.name))
@@ -87,16 +78,10 @@ pub fn table2(
 
 /// **§6.4 linear benchmark**: the pipeline over the 124-problem linear
 /// (Code2Inv-shape) suite. The paper solves all 124 in under 30 s each.
-pub fn code2inv(
-    limit: usize,
-    json: bool,
-    workers: Option<usize>,
-    train_chunk: Option<usize>,
-) -> SuiteSummary {
+pub fn code2inv(limit: usize, json: bool, workers: Option<usize>) -> SuiteSummary {
     let config = PipelineConfig {
         gcln: GclnConfig { max_epochs: 1000, ..GclnConfig::default() },
         max_attempts: 2,
-        train_chunk_size: train_chunk.unwrap_or(1),
         ..PipelineConfig::default()
     };
     let problems: Vec<Problem> = linear_suite().into_iter().take(limit).collect();
@@ -135,7 +120,6 @@ pub fn suite(
     limit: usize,
     filter: &[String],
     workers: Option<usize>,
-    train_chunk: Option<usize>,
 ) -> Option<SuiteSummary> {
     let problems: Vec<Problem> = gcln_problems::suite_by_name(which)?
 
@@ -143,10 +127,7 @@ pub fn suite(
         .filter(|p| filter.is_empty() || filter.contains(&p.name))
         .take(limit)
         .collect();
-    let mut config = if fast { fast_suite_config() } else { PipelineConfig::default() };
-    if let Some(chunk) = train_chunk {
-        config.train_chunk_size = chunk;
-    }
+    let config = if fast { fast_suite_config() } else { PipelineConfig::default() };
     let summary = run_suite_with(which, &problems, &config, workers);
     if json {
         emit_json(&summary);

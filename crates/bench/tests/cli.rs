@@ -145,6 +145,36 @@ fn run_rejects_unknown_targets_and_bad_sources() {
 }
 
 #[test]
+fn run_rejects_out_of_bounds_overrides_promptly() {
+    use std::time::{Duration, Instant};
+    let file = fresh_program();
+    for bad in [
+        &["--max-degree", "40"][..],
+        &["--max-degree", "0"],
+        &["--range", "5:1"],
+        &["--range", "2:9", "--range", "2:9"],
+    ] {
+        // Polled with a timeout, so a hang (an unbounded degree stalls in
+        // term enumeration) fails the test instead of stalling the suite.
+        let mut child = Command::new(env!("CARGO_BIN_EXE_gcln"))
+            .args(["run", file.as_str()])
+            .args(bad)
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .expect("gcln runs");
+        let started = Instant::now();
+        while child.try_wait().unwrap().is_none() && started.elapsed() < Duration::from_secs(30) {
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        let _ = child.kill();
+        let out = child.wait_with_output().unwrap();
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(1), "{bad:?}: {stderr}");
+        assert!(stderr.starts_with("error: ") && !stderr.contains("panicked"), "{bad:?}: {stderr}");
+    }
+}
+
+#[test]
 fn suite_expect_threshold_gates_the_exit_code() {
     // Filtering to a nonexistent problem keeps this instant: 0 attempted
     // means any --expect N > 0 must fail with exit code 3.

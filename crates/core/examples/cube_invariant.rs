@@ -2,13 +2,13 @@
 //! different magnitudes (cubic, quadratic, linear) that a data-driven
 //! model must learn simultaneously.
 //!
-//! Run with `cargo run --release --example cube_invariant`.
+//! Run with `cargo run --release -p gcln --example cube_invariant`.
 
-use gcln_repro::gcln::pipeline::{infer_invariants, PipelineConfig};
-use gcln_repro::gcln_checker::{equalities_imply, equality_polys};
-use gcln_repro::gcln_logic::parse_formula;
-use gcln_repro::gcln_numeric::groebner::GroebnerLimits;
-use gcln_repro::gcln_problems::nla::nla_problem;
+use gcln::pipeline::{infer_invariants, PipelineConfig};
+use gcln_checker::{equalities_imply, equality_polys};
+use gcln_logic::parse_formula;
+use gcln_numeric::groebner::GroebnerLimits;
+use gcln_problems::nla::nla_problem;
 
 fn main() {
     let problem = nla_problem("cohencu").expect("cohencu in NLA suite");

@@ -3,10 +3,10 @@
 //! relaxed invariant 4x − y⁴ − 2y³ − y² = 4x₀ − y₀⁴ − 2y₀³ − y₀² holds on
 //! every relaxed sample.
 //!
-//! Run with `cargo run --release --example fractional_sampling`.
+//! Run with `cargo run --release -p gcln --example fractional_sampling`.
 
-use gcln_repro::gcln::fractional::{fractional_points, FractionalConfig};
-use gcln_repro::gcln_problems::nla::nla_problem;
+use gcln::fractional::{fractional_points, FractionalConfig};
+use gcln_problems::nla::nla_problem;
 
 fn main() {
     let problem = nla_problem("ps4").expect("ps4 in NLA suite");

@@ -1,16 +1,17 @@
 //! Run the pipeline on a few problems of the 124-problem linear suite
-//! (the paper's §6.4 Code2Inv experiment, regenerated — see DESIGN.md).
+//! (the paper's §6.4 Code2Inv experiment, regenerated — see the
+//! `gcln_problems::linear` module docs).
 //!
-//! Run with `cargo run --release --example linear_suite`.
+//! Run with `cargo run --release -p gcln --example linear_suite`.
 
-use gcln_repro::gcln::pipeline::{infer_invariants, PipelineConfig};
-use gcln_repro::gcln_problems::linear::linear_suite;
+use gcln::pipeline::{infer_invariants, PipelineConfig};
+use gcln_problems::linear::linear_suite;
 
 fn main() {
     let config = PipelineConfig {
-        gcln: gcln_repro::gcln::GclnConfig {
+        gcln: gcln::GclnConfig {
             max_epochs: 1000,
-            ..gcln_repro::gcln::GclnConfig::default()
+            ..gcln::GclnConfig::default()
         },
         max_attempts: 2,
         ..PipelineConfig::default()

@@ -2,11 +2,11 @@
 //! staged engine — configuration auto-derived from the source, progress
 //! streamed as JSON-line events.
 //!
-//! Run with `cargo run --release --example quickstart`.
+//! Run with `cargo run --release -p gcln --example quickstart`.
 //! (The same program ships as `examples/squares.loop` for the CLI:
 //! `gcln run examples/squares.loop --json`.)
 
-use gcln_repro::gcln_engine::{Engine, Job, ProblemSpec};
+use gcln_engine::{Engine, Job, ProblemSpec};
 
 fn main() {
     // Any loop program in the C-like surface syntax works; this one sums

@@ -1,10 +1,10 @@
 //! The paper's Fig. 1b walkthrough: the integer square-root loop needs the
 //! *tight* bound a² ≤ n — looser bounds cannot verify the postcondition.
 //!
-//! Run with `cargo run --release --example sqrt_invariant`.
+//! Run with `cargo run --release -p gcln --example sqrt_invariant`.
 
-use gcln_repro::gcln::pipeline::{infer_invariants, PipelineConfig};
-use gcln_repro::gcln_problems::nla::nla_problem;
+use gcln::pipeline::{infer_invariants, PipelineConfig};
+use gcln_problems::nla::nla_problem;
 
 fn main() {
     let problem = nla_problem("sqrt1").expect("sqrt1 in NLA suite");

@@ -1,13 +1,13 @@
 //! Cross-crate integration tests: the full workflow of paper Fig. 3 on
 //! representative problems from both suites.
 
-use gcln_repro::gcln::pipeline::{infer_invariants, PipelineConfig};
-use gcln_repro::gcln::GclnConfig;
-use gcln_repro::gcln_checker::{check, equalities_imply, equality_polys, Candidate, CheckerConfig};
-use gcln_repro::gcln_engine::{Engine, Event, Job, ProblemSpec, Stage};
-use gcln_repro::gcln_logic::parse_formula;
-use gcln_repro::gcln_numeric::groebner::GroebnerLimits;
-use gcln_repro::gcln_problems::{find_problem, nla::nla_problem, sample_inputs};
+use gcln::pipeline::{infer_invariants, PipelineConfig};
+use gcln::GclnConfig;
+use gcln_checker::{check, equalities_imply, equality_polys, Candidate, CheckerConfig};
+use gcln_engine::{Engine, Event, Job, ProblemSpec, Stage};
+use gcln_logic::parse_formula;
+use gcln_numeric::groebner::GroebnerLimits;
+use gcln_problems::{find_problem, nla::nla_problem, sample_inputs};
 
 fn quick_config() -> PipelineConfig {
     PipelineConfig {

@@ -273,8 +273,8 @@ fn train_directions(
     let mut adam = AdamLanes::new(num_inits, np, config.optimizer);
     let mut grads = vec![0.0; num_inits * np];
     for _ in 0..config.epochs {
-        kernel.forward_active(&all_params, num_inits);
-        kernel.backward_active(&mut grads, num_inits);
+        kernel.forward(&all_params);
+        kernel.backward(&mut grads);
         for l in 0..num_inits {
             adam.step_lane(l, &mut all_params, &grads);
             project_unit_l2(&mut all_params[l * np..l * np + k]);

@@ -228,7 +228,7 @@ mod tests {
         assert_ne!(k0, TraceCache::key(&spec.problem, &w));
         // Overridden input ranges split it too.
         let mut spec2 = ProblemSpec::from_source_str("s", SRC).unwrap();
-        spec2.apply_overrides(None, &[(0, 5)]);
+        spec2.apply_overrides(None, &[(0, 5)]).unwrap();
         assert_ne!(k0, TraceCache::key(&spec2.problem, &base));
     }
 

@@ -66,6 +66,6 @@ pub use model::{GclnConfig, TrainedGcln};
 pub use run::{
     CancelToken, Engine, InferenceOutcome, Job, LoopInference, PipelineConfig,
 };
-pub use spec::{ProblemSpec, SpecError};
+pub use spec::{ProblemSpec, SpecError, MAX_DEGREE_OVERRIDE};
 pub use staged::{CompletedTask, StagedJob, Step, Task, TaskKind};
 pub use terms::TermSpace;

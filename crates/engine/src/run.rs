@@ -68,15 +68,6 @@ pub struct PipelineConfig {
     /// Training attempts per loop; dropout decays 0.3 → 0 across them
     /// (§6: "decrease by 0.1 after each failed attempt").
     pub max_attempts: usize,
-    /// Attempts trained per staged Train task (and per lane-batched
-    /// kernel pass). `1` = the scalar per-attempt path; results are
-    /// bit-identical at any value (see
-    /// [`crate::model::train_equality_gcln_batch`]), so this is purely a
-    /// batching/throughput knob. Defaults to 1: on single-core AVX2
-    /// hosts the compact scalar tape outruns the shared-topology dense
-    /// kernel (see EXPERIMENTS.md); raise it where fewer, larger tasks
-    /// amortize scheduling better.
-    pub train_chunk_size: usize,
     /// CEGIS rounds (counterexample feedback) after the first check.
     pub cegis_rounds: usize,
     /// Input-range widening factor for checking, so bounds overfitted to
@@ -89,9 +80,8 @@ pub struct PipelineConfig {
 }
 
 impl PipelineConfig {
-    /// The quick profile shared by the `gcln run --fast` and `invgen
-    /// --fast` front ends: fewer epochs, two restart attempts, one
-    /// CEGIS round.
+    /// The quick profile of `gcln run --fast`: fewer epochs, two restart
+    /// attempts, one CEGIS round.
     pub fn fast() -> PipelineConfig {
         PipelineConfig {
             gcln: GclnConfig { max_epochs: 800, ..GclnConfig::default() },
@@ -120,7 +110,6 @@ impl Default for PipelineConfig {
             kernel_completion: true,
             magnitude_cap: 1e10,
             max_attempts: 4,
-            train_chunk_size: 1,
             cegis_rounds: 2,
             widen_factor: 2,
             max_samples_per_loop: 400,
@@ -536,9 +525,10 @@ pub(crate) fn bound_direction(poly: &Poly) -> Poly {
 /// tuple sampling — the two must never diverge).
 fn widen_ranges(problem: &Problem, config: &PipelineConfig) -> Problem {
     let mut widened = problem.clone();
+    // Saturating: an override may reach the ends of i128.
     for (lo, hi) in &mut widened.input_ranges {
-        let span = (*hi - *lo).max(1);
-        *hi += span * (config.widen_factor - 1).max(0);
+        let span = hi.saturating_sub(*lo).max(1);
+        *hi = hi.saturating_add(span.saturating_mul((config.widen_factor - 1).max(0)));
     }
     widened
 }
@@ -572,6 +562,22 @@ mod tests {
         let tuples = widened_input_tuples(&problem, &PipelineConfig::default());
         let max_a = tuples.iter().map(|t| t[0]).max().unwrap();
         assert!(max_a > 12, "widened max {max_a}");
+    }
+
+    #[test]
+    fn widening_saturates_at_the_ends_of_i128() {
+        let config = PipelineConfig::default();
+        let mut problem = nla_problem("cohencu").unwrap();
+        problem.input_ranges = vec![(0, 30)];
+        assert_eq!(widen_ranges(&problem, &config).input_ranges, vec![(0, 60)]);
+        problem.input_ranges = vec![(0, i128::MAX - 5)];
+        assert_eq!(widen_ranges(&problem, &config).input_ranges, vec![(0, i128::MAX)]);
+        problem.input_ranges = vec![(i128::MIN, i128::MAX)];
+        assert_eq!(widen_ranges(&problem, &config).input_ranges, vec![(i128::MIN, i128::MAX)]);
+        // Sampling the widened range reaches both ends without overflow.
+        let tuples = widened_input_tuples(&problem, &config);
+        assert_eq!(tuples.first().unwrap()[0], i128::MIN);
+        assert_eq!(tuples.last().unwrap()[0], i128::MAX);
     }
 
     #[test]

@@ -27,6 +27,10 @@ const DEFAULT_SPAN: i128 = 20;
 /// benchmarks; above 6 term enumeration explodes combinatorially.
 const MIN_DEGREE: u32 = 2;
 const MAX_DEGREE: u32 = 6;
+/// Largest accepted explicit degree override — above the derivation
+/// clamp for headroom, but bounded so one request cannot pin a worker in
+/// term enumeration.
+pub const MAX_DEGREE_OVERRIDE: u32 = 8;
 
 /// Error from building a spec out of source text.
 #[derive(Clone, Debug)]
@@ -40,6 +44,8 @@ pub enum SpecError {
     },
     /// The source failed to parse or resolve.
     Program(gcln_lang::ProgramError),
+    /// An explicit override (degree or input range) is out of bounds.
+    Override(String),
 }
 
 impl fmt::Display for SpecError {
@@ -47,6 +53,7 @@ impl fmt::Display for SpecError {
         match self {
             SpecError::Io { path, error } => write!(f, "cannot read `{path}`: {error}"),
             SpecError::Program(e) => write!(f, "{e}"),
+            SpecError::Override(msg) => f.write_str(msg),
         }
     }
 }
@@ -154,16 +161,56 @@ impl ProblemSpec {
 
     /// Applies CLI-style overrides on top of the (auto-derived)
     /// configuration: an explicit term degree and per-input sampling
-    /// ranges in declaration order. Excess ranges are ignored — front
-    /// ends share this so the drop rule cannot diverge between them.
-    pub fn apply_overrides(&mut self, max_degree: Option<u32>, ranges: &[(i128, i128)]) {
+    /// ranges in declaration order. Every front end goes through here,
+    /// so the validation rules cannot diverge between them. An overridden
+    /// field's derivation note is replaced by an `(override)` note.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SpecError::Override`] — leaving the spec untouched — for
+    /// a degree outside `1..=MAX_DEGREE_OVERRIDE`, a range with
+    /// `lo > hi`, or more ranges than the program has inputs.
+    pub fn apply_overrides(
+        &mut self,
+        max_degree: Option<u32>,
+        ranges: &[(i128, i128)],
+    ) -> Result<(), SpecError> {
+        if let Some(d) = max_degree.filter(|d| !(1..=MAX_DEGREE_OVERRIDE).contains(d)) {
+            return Err(SpecError::Override(format!(
+                "max_degree {d} is outside 1..={MAX_DEGREE_OVERRIDE}"
+            )));
+        }
+        let inputs = self.problem.input_ranges.len();
+        if ranges.len() > inputs {
+            return Err(SpecError::Override(format!(
+                "{} ranges given but `{}` has {inputs} input(s)",
+                ranges.len(),
+                self.problem.name
+            )));
+        }
+        if let Some((lo, hi)) = ranges.iter().find(|(lo, hi)| lo > hi) {
+            return Err(SpecError::Override(format!("range {lo}:{hi} is empty (lo > hi)")));
+        }
         if let Some(d) = max_degree {
             self.problem.max_degree = d;
+            self.replace_note("max_degree ", format!("max_degree {d} (override)"));
         }
-        for (i, r) in ranges.iter().enumerate() {
-            if i < self.problem.input_ranges.len() {
-                self.problem.input_ranges[i] = *r;
+        for (i, &(lo, hi)) in ranges.iter().enumerate() {
+            self.problem.input_ranges[i] = (lo, hi);
+            if let Some(name) = self.problem.program.inputs.get(i).cloned() {
+                self.replace_note(
+                    &format!("range {name} in "),
+                    format!("range {name} in {lo}..={hi} (override)"),
+                );
             }
+        }
+        Ok(())
+    }
+
+    /// Replaces the derivation note starting with `prefix`, if any.
+    fn replace_note(&mut self, prefix: &str, note: String) {
+        if let Some(slot) = self.derived.iter_mut().find(|n| n.starts_with(prefix)) {
+            *slot = note;
         }
     }
 }
@@ -437,6 +484,41 @@ mod tests {
         )
         .unwrap();
         assert_eq!(spec.problem.max_degree, 2);
+    }
+
+    #[test]
+    fn overrides_replace_their_derivation_notes() {
+        let src = "inputs a, b; pre a >= 3; post x >= 0; x = a + b;";
+        let mut spec = ProblemSpec::from_source_str("o", src).unwrap();
+        spec.apply_overrides(Some(4), &[(0, 30)]).unwrap();
+        assert_eq!(spec.problem.max_degree, 4);
+        assert_eq!(spec.problem.input_ranges, [(0, 30), (0, 20)]);
+        let expected = [
+            "max_degree 4 (override)",
+            "range a in 0..=30 (override)",
+            "range b in 0..=20 (default)",
+        ];
+        assert_eq!(spec.derived, expected);
+    }
+
+    #[test]
+    fn out_of_bounds_overrides_are_rejected_untouched() {
+        let fresh = ProblemSpec::from_source_str("o", "inputs a, b; x = a + b;").unwrap();
+        let reject = |degree: Option<u32>, ranges: &[(i128, i128)]| {
+            let mut spec = fresh.clone();
+            let err = spec.apply_overrides(degree, ranges).unwrap_err();
+            assert!(matches!(err, SpecError::Override(_)), "{degree:?} {ranges:?}: {err}");
+            assert_eq!(
+                (spec.problem.max_degree, &spec.problem.input_ranges, &spec.derived),
+                (fresh.problem.max_degree, &fresh.problem.input_ranges, &fresh.derived)
+            );
+        };
+        reject(Some(0), &[]);
+        reject(Some(MAX_DEGREE_OVERRIDE + 1), &[]);
+        reject(None, &[(5, 1)]);
+        reject(None, &[(0, 1); 3]);
+        let mut spec = fresh.clone();
+        spec.apply_overrides(Some(MAX_DEGREE_OVERRIDE), &[(i128::MIN, i128::MAX), (7, 7)]).unwrap();
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! - [`linear`]: a 124-problem **linear** suite shaped like the Code2Inv
 //!   benchmark (§6.4). The original C/SMT files are not redistributable
 //!   here; the suite regenerates the same scale from the benchmark's
-//!   template families with varied constants (see DESIGN.md).
+//!   template families with varied constants (listed in [`linear`]).
 //!
 //! A [`Problem`] bundles the program, sampling ranges, term-enumeration
 //! degree, extended (external-function) terms such as `gcd(x,y)`, and
@@ -291,14 +291,20 @@ pub fn sample_inputs(problem: &Problem, max_samples: usize) -> Vec<Vec<i128>> {
         .input_ranges
         .iter()
         .map(|&(lo, hi)| {
-            let span = (hi - lo).max(0) as usize;
-            let count = per_dim.min(span + 1).max(1);
+            // Unsigned offsets: `hi - lo` overflows i128 for ranges that
+            // reach both ends of the type.
+            let span = if hi > lo { hi.abs_diff(lo) } else { 0 };
+            let count = (per_dim as u128).min(span.saturating_add(1)).max(1);
             let mut vals: Vec<i128> = (0..count)
                 .map(|i| {
                     if count == 1 {
                         lo
                     } else {
-                        lo + (span * i / (count - 1)) as i128
+                        // ⌊span·i / steps⌋ without forming span·i.
+                        let steps = count - 1;
+                        let offset = span / steps * i + span % steps * i / steps;
+                        // lo + offset ≤ hi, so the wrapping add is exact.
+                        lo.wrapping_add(offset as i128)
                     }
                 })
                 .collect();

@@ -41,7 +41,7 @@ use gcln_faults::{site, Faults};
 use crate::limiter::{Admission, RateLimit, RateLimiter};
 use gcln_engine::cache::TraceCache;
 use gcln_engine::events::json_string;
-use gcln_engine::{CancelToken, Engine, Event, Job, PipelineConfig};
+use gcln_engine::{CancelToken, Engine, Event, Job, PipelineConfig, MAX_DEGREE_OVERRIDE};
 use gcln_sched::{Granularity, JobEvent, SchedConfig, Scheduler, SubmitOptions};
 use std::collections::HashMap;
 use std::net::{IpAddr, SocketAddr, TcpListener, TcpStream};
@@ -99,10 +99,6 @@ pub struct ServeConfig {
     /// (task panics), the journal (torn writes, bit flips), and the
     /// connection path (resets, stalls). Disabled by default.
     pub faults: Faults,
-    /// Attempts trained per staged Train task (lane-batched when > 1).
-    /// Results are bit-identical at any value — a pure throughput knob,
-    /// exposed on `/stats` and `/metrics` as `gcln_sched_train_chunk_size`.
-    pub train_chunk_size: usize,
 }
 
 impl Default for ServeConfig {
@@ -122,7 +118,6 @@ impl Default for ServeConfig {
             write_timeout: Duration::from_secs(10),
             journal_fsync: FsyncPolicy::Never,
             faults: Faults::disabled(),
-            train_chunk_size: 1,
         }
     }
 }
@@ -421,7 +416,10 @@ pub fn start(cfg: ServeConfig) -> std::io::Result<ServerHandle> {
         }
         match spec_cache.fetch(&p.source, p.name.as_deref()) {
             Ok((source_hash, mut spec)) => {
-                spec.apply_overrides(p.max_degree, &[]);
+                if spec.apply_overrides(p.max_degree, &[]).is_err() {
+                    journal_rejected += 1;
+                    continue;
+                }
                 next_id = next_id.max(p.id + 1);
                 resubmits.push((p, source_hash, spec, admit.render()));
             }
@@ -582,10 +580,6 @@ fn route(shared: &Arc<Shared>, request: &Request, peer: Option<IpAddr>) -> Respo
 /// silently ignored.
 const JOB_KEYS: [&str; 6] = ["source", "name", "fast", "deadline_secs", "step_budget", "max_degree"];
 
-/// Largest accepted `max_degree` override — above the auto-derivation
-/// clamp (6) for headroom, but bounded.
-const MAX_DEGREE_OVERRIDE: u64 = 8;
-
 fn post_job(shared: &Arc<Shared>, request: &Request, peer: Option<IpAddr>) -> Response {
     if shared.is_shutdown() {
         return Response::error(503, "server is shutting down").with_header("retry-after", "1");
@@ -663,19 +657,19 @@ fn post_job(shared: &Arc<Shared>, request: &Request, peer: Option<IpAddr>) -> Re
             None => return Response::error(400, "\"step_budget\" must be a non-negative integer"),
         },
     };
-    // Term enumeration explodes combinatorially with degree (the
-    // auto-derivation clamp is [2,6]); an unbounded override would let
-    // one request pin a worker indefinitely.
+    // The engine bounds the degree (term enumeration explodes
+    // combinatorially with it) in `apply_overrides` below.
+    let bad_degree = || {
+        Response::error(
+            400,
+            &format!("\"max_degree\" must be an integer in 1..={MAX_DEGREE_OVERRIDE}"),
+        )
+    };
     let max_degree = match body.get("max_degree") {
         None => None,
-        Some(v) => match v.as_u64().filter(|d| (1..=MAX_DEGREE_OVERRIDE).contains(d)) {
-            Some(d) => Some(d as u32),
-            None => {
-                return Response::error(
-                    400,
-                    &format!("\"max_degree\" must be an integer in 1..={MAX_DEGREE_OVERRIDE}"),
-                )
-            }
+        Some(v) => match v.as_u64().and_then(|d| u32::try_from(d).ok()) {
+            Some(d) => Some(d),
+            None => return bad_degree(),
         },
     };
 
@@ -683,7 +677,9 @@ fn post_job(shared: &Arc<Shared>, request: &Request, peer: Option<IpAddr>) -> Re
         Ok(hit) => hit,
         Err(e) => return Response::error(400, &format!("source does not parse: {e}")),
     };
-    spec.apply_overrides(max_degree, &[]);
+    if spec.apply_overrides(max_degree, &[]).is_err() {
+        return bad_degree();
+    }
 
     // Admission: the lock covers the capacity check and the record
     // insert, so two racing submissions cannot both squeeze past the
@@ -763,8 +759,7 @@ fn launch_job(
     deadline: Option<Duration>,
     step_budget: Option<u64>,
 ) {
-    let mut config = if fast { PipelineConfig::fast() } else { PipelineConfig::default() };
-    config.train_chunk_size = shared.cfg.train_chunk_size.max(1);
+    let config = if fast { PipelineConfig::fast() } else { PipelineConfig::default() };
     let ext_names = spec.problem.extended_names();
     let mut job = Job::new(spec).with_config(config);
     job.cancel = record.cancel.clone();
@@ -1023,11 +1018,10 @@ fn stats(shared: &Arc<Shared>) -> Response {
     Response::json(
         200,
         format!(
-            r#"{{"queue_depth":{},"queue_cap":{},"workers":{},"train_chunk_size":{},"busy_workers":{},"jobs":{{"total":{},"queued":{},"running":{},"done":{},"completed_this_process":{}}},"scheduler":{{"active_jobs":{},"tasks_executed":{},"tasks_retried":{},"tasks_panicked":{},"jobs_quarantined":{},"utilization":{:.3}}},"rate_limited":{},"spec_cache":{},"trace_cache":{},"journal":{}}}"#,
+            r#"{{"queue_depth":{},"queue_cap":{},"workers":{},"busy_workers":{},"jobs":{{"total":{},"queued":{},"running":{},"done":{},"completed_this_process":{}}},"scheduler":{{"active_jobs":{},"tasks_executed":{},"tasks_retried":{},"tasks_panicked":{},"jobs_quarantined":{},"utilization":{:.3}}},"rate_limited":{},"spec_cache":{},"trace_cache":{},"journal":{}}}"#,
             queue_depth,
             shared.cfg.queue_cap,
             shared.cfg.workers,
-            shared.cfg.train_chunk_size,
             busy_workers,
             total,
             queued,
@@ -1055,7 +1049,6 @@ fn metrics(shared: &Arc<Shared>) -> Response {
         shared.spec_cache.stats(),
         shared.trace_cache.stats(),
         crate::metrics::ServeCounters {
-            train_chunk_size: shared.cfg.train_chunk_size as u64,
             rate_limited: shared.rate_limited.load(Ordering::Relaxed),
             journal_compactions: shared.compactions.load(Ordering::Relaxed),
             jobs_admitted: shared.admitted.load(Ordering::Relaxed),

@@ -379,6 +379,8 @@ fn api_surface_rejects_malformed_traffic() {
         (r#"{"source":"inputs n; x = n;","deadline_secs":-1}"#, "deadline_secs"),
         (r#"{"source":"inputs n; x = n;","step_budget":1.5}"#, "step_budget"),
         (r#"{"source":"inputs n; x = n;","fast":"yes"}"#, "fast"),
+        (r#"{"source":"inputs n; x = n;","max_degree":9}"#, "integer in 1..=8"),
+        (r#"{"source":"inputs n; x = n;","max_degree":4294967296}"#, "integer in 1..=8"),
     ] {
         let resp = post(addr, "/jobs", body);
         assert_eq!(resp.status, 400, "{body} -> {}", resp.body);

@@ -326,9 +326,9 @@ mod tests {
         let params: Vec<f64> = (0..4 * np).map(|i| ((i * 17) as f64 * 0.037 - 0.8).cos()).collect();
         let mut k = LaneKernel::compile(&t, out, 4);
         k.bind_inputs(&columns);
-        let vals = k.forward_active(&params, 4).to_vec();
+        let vals = k.forward(&params).to_vec();
         let mut grads = vec![f64::NAN; 4 * np];
-        k.backward_active(&mut grads, 4);
+        k.backward(&mut grads);
         for l in 0..4 {
             let p = &params[l * np..(l + 1) * np];
             let (v, g) = t.eval_with_grad(out, &columns, p);

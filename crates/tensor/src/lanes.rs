@@ -1,9 +1,10 @@
 //! Lane-batched execution of one [`Tape`] graph over N parameter sets.
 //!
-//! The G-CLN pipeline trains many *attempts* whose tapes share one
-//! topology — only parameter values differ. [`LaneKernel`] compiles that
-//! shared topology **once** and evaluates up to `lanes` attempts per
-//! pass over a structure-of-arrays arena laid out `[node][lane][sample]`:
+//! PBQU bounds training (`gcln-engine`'s `bounds` module) trains one
+//! model per initial direction, and those tapes share one topology — only
+//! parameter values differ. [`LaneKernel`] compiles that shared topology
+//! **once** and evaluates all `lanes` parameter sets per pass over a
+//! structure-of-arrays arena laid out `[node][lane][sample]`:
 //!
 //! ```text
 //! node i (batch len B, 4 lanes):
@@ -17,12 +18,12 @@
 //! `accum_into`, [`crate::fastmath::exp64`],
 //! [`crate::fastmath::reduce_blocked4`]), so lane `ℓ`'s forward value and
 //! parameter gradients are **bit-identical** to running the scalar
-//! [`Tape`] with lane `ℓ`'s parameters — for any lane count, any active
-//! prefix (ragged final chunks), and any lane position. What batching
-//! buys is everything *around* the arithmetic: one liveness/layout
-//! pre-pass, one input binding (columns and constants are stored **once**
-//! and read by every lane — never replicated or re-copied), one
-//! touched-flag sweep per backward, and zero allocation per epoch.
+//! [`Tape`] with lane `ℓ`'s parameters — for any lane count and any lane
+//! position. What batching buys is everything *around* the arithmetic:
+//! one liveness/layout pre-pass, one input binding (columns and
+//! constants are stored **once** and read by every lane — never
+//! replicated or re-copied), one touched-flag sweep per backward, and
+//! zero allocation per epoch.
 //!
 //! # Examples
 //!
@@ -36,12 +37,12 @@
 //! let wx = t.mul(w, x);
 //! let sq = t.square(wx);
 //! let loss = t.mean_batch(sq);
-//! let mut k = LaneKernel::compile(&t, loss, 4);
+//! let mut k = LaneKernel::compile(&t, loss, 3);
 //! k.bind_inputs(&[vec![1.0, 2.0, 3.0]]);
-//! let params = [0.5, 1.0, 2.0]; // one param per lane, 3 active lanes
-//! let losses = k.forward_active(&params, 3).to_vec();
+//! let params = [0.5, 1.0, 2.0]; // one param per lane
+//! let losses = k.forward(&params).to_vec();
 //! let mut grads = vec![0.0; 3];
-//! k.backward_active(&mut grads, 3);
+//! k.backward(&mut grads);
 //! // lane 1 (w=1.0): loss = mean(x²) = 14/3
 //! assert!((losses[1] - 14.0 / 3.0).abs() < 1e-12);
 //! ```
@@ -82,12 +83,10 @@ pub struct LaneKernel {
     /// Batch size bound by [`LaneKernel::bind_inputs`] (`usize::MAX` =
     /// unbound).
     batch: usize,
-    /// Active lane count of the last completed forward (`0` = none).
-    last_active: usize,
 }
 
 impl LaneKernel {
-    /// Compiles the DAG rooted at `output` into a kernel evaluating up to
+    /// Compiles the DAG rooted at `output` into a kernel evaluating
     /// `lanes` parameter sets per pass.
     ///
     /// # Panics
@@ -127,25 +126,14 @@ impl LaneKernel {
             num_inputs: tape.num_inputs(),
             num_params: tape.num_params(),
             batch: usize::MAX,
-            last_active: 0,
         }
-    }
-
-    /// Lane capacity of this kernel.
-    pub fn lanes(&self) -> usize {
-        self.lanes
-    }
-
-    /// Parameters per lane (the source tape's parameter count).
-    pub fn num_params(&self) -> usize {
-        self.num_params
     }
 
     /// Lays out the arenas for these input columns and copies each column
     /// into its (lane-invariant) slot once, so subsequent forwards touch
     /// no input data at all and all lanes read the same cached copy.
     ///
-    /// Must be called before the first [`LaneKernel::forward_active`] and
+    /// Must be called before the first [`LaneKernel::forward`] and
     /// again whenever the input columns change.
     ///
     /// # Panics
@@ -181,24 +169,22 @@ impl LaneKernel {
             }
         }
         self.batch = batch;
-        self.last_active = 0;
     }
 
-    /// Runs one forward pass over the first `active` lanes, returning
-    /// their output values (`active` scalars, one per lane).
+    /// Runs one forward pass over every lane, returning their output
+    /// values (one scalar per lane).
     ///
     /// `params` is `[lane][param]`-flat: lane `ℓ` reads
-    /// `params[ℓ·num_params..][..num_params]`. Lanes past `active` are
-    /// not computed.
+    /// `params[ℓ·num_params..][..num_params]`.
     ///
     /// # Panics
     ///
-    /// Panics if inputs are unbound, `active` is 0 or exceeds the lane
-    /// count, or `params` is shorter than `active × num_params`.
-    pub fn forward_active(&mut self, params: &[f64], active: usize) -> &[f64] {
-        assert!(self.batch != usize::MAX, "call bind_inputs before forward_active");
-        assert!(active > 0 && active <= self.lanes, "active lanes out of range");
-        assert!(params.len() >= active * self.num_params, "missing parameters");
+    /// Panics if inputs are unbound or `params` is shorter than
+    /// `lanes × num_params`.
+    pub fn forward(&mut self, params: &[f64]) -> &[f64] {
+        assert!(self.batch != usize::MAX, "call bind_inputs before forward");
+        let lanes = self.lanes;
+        assert!(params.len() >= lanes * self.num_params, "missing parameters");
         let np = self.num_params;
         let ops = &self.ops;
         let offsets = &self.offsets;
@@ -211,7 +197,7 @@ impl LaneKernel {
             let off = offsets[i];
             let len = lens[i];
             let (prev, rest) = self.values.split_at_mut(off);
-            let out_all = &mut rest[..active * len];
+            let out_all = &mut rest[..lanes * len];
             // Lane ℓ's view of an operand slot — per-lane length, so the
             // per-element code below is the scalar arena's verbatim.
             // Shared (input/const) slots hold one copy read by all lanes.
@@ -392,28 +378,23 @@ impl LaneKernel {
                 }
             }
         }
-        self.last_active = active;
         let off = self.offsets[self.output];
-        &self.values[off..off + active]
+        &self.values[off..off + lanes]
     }
 
-    /// Runs one backward pass over the same `active` lanes as the last
-    /// forward, writing lane `ℓ`'s parameter gradients into
+    /// Runs one backward pass over every lane of the last forward,
+    /// writing lane `ℓ`'s parameter gradients into
     /// `param_grads[ℓ·num_params..][..num_params]` (overwritten, not
     /// accumulated). Zero heap allocation.
     ///
     /// # Panics
     ///
-    /// Panics if no forward has run, `active` differs from the last
-    /// forward's, or the buffer is shorter than `active × num_params`.
-    pub fn backward_active(&mut self, param_grads: &mut [f64], active: usize) {
-        assert!(
-            self.last_active == active && active > 0,
-            "backward_active must follow forward_active with the same lane count"
-        );
+    /// Panics if the buffer is shorter than `lanes × num_params`.
+    pub fn backward(&mut self, param_grads: &mut [f64]) {
+        let lanes = self.lanes;
         let np = self.num_params;
-        assert!(param_grads.len() >= active * np, "gradient buffer too short");
-        for lane_grads in param_grads.chunks_mut(np.max(1)).take(active) {
+        assert!(param_grads.len() >= lanes * np, "gradient buffer too short");
+        for lane_grads in param_grads.chunks_mut(np.max(1)).take(lanes) {
             lane_grads[..np].fill(0.0);
         }
         if !self.requires_grad[self.output] {
@@ -421,7 +402,7 @@ impl LaneKernel {
         }
         self.touched.fill(false);
         let ooff = self.offsets[self.output];
-        self.grads[ooff..ooff + active].fill(1.0);
+        self.grads[ooff..ooff + lanes].fill(1.0);
         self.touched[self.output] = true;
 
         let ops = &self.ops;
@@ -445,7 +426,7 @@ impl LaneKernel {
             let off = offsets[i];
             let len = lens[i];
             let (gprev, gcur) = self.grads.split_at_mut(off);
-            let gcur = &gcur[..active * len];
+            let gcur = &gcur[..lanes * len];
             let touched = &mut self.touched;
             // Per-target adjoint accumulation: `$mk` receives the lane
             // index and builds the per-element closure, so value-slot
@@ -457,7 +438,7 @@ impl LaneKernel {
                     let ti = t.index();
                     if requires[ti] {
                         let fresh = !touched[ti];
-                        for l in 0..active {
+                        for l in 0..lanes {
                             let up = &gcur[l * len..(l + 1) * len];
                             let $l = l;
                             accum_into(
@@ -476,7 +457,7 @@ impl LaneKernel {
             match &ops[i] {
                 Op::Input(_) | Op::Const(_) => {}
                 Op::Param(idx) => {
-                    for l in 0..active {
+                    for l in 0..lanes {
                         param_grads[l * np + idx] += gcur[l];
                     }
                 }
@@ -610,7 +591,7 @@ impl LaneKernel {
                                 fresh_k[k] = !touched[wi]
                                     && !(0..k).any(|k2| weights[p + k2].index() == wi);
                             }
-                            for l in 0..active {
+                            for l in 0..lanes {
                                 let up = &gcur[l * len..(l + 1) * len];
                                 let sums = reduce_fma_blocked4_x4(
                                     len,
@@ -643,7 +624,7 @@ impl LaneKernel {
                         } else {
                             for k in p..q {
                                 let (w, x) = (&weights[k], &xs[k]);
-                                for l in 0..active {
+                                for l in 0..lanes {
                                     let up = &gcur[l * len..(l + 1) * len];
                                     let xv = vlan(x, l);
                                     let sum = reduce_fma_blocked4(len, |j| (up[j], xv[j]));
@@ -813,20 +794,18 @@ mod tests {
         let (mut t, loss, np) = gcln_like(5, 3);
         let cols = columns(5, 17);
         for lanes in [1usize, 3, 4, 8] {
-            for active in 1..=lanes {
-                let params = lane_params(np, lanes);
-                let mut k = LaneKernel::compile(&t, loss, lanes);
-                k.bind_inputs(&cols);
-                let vals = k.forward_active(&params, active).to_vec();
-                let mut grads = vec![f64::NAN; active * np];
-                k.backward_active(&mut grads, active);
-                for l in 0..active {
-                    let p = &params[l * np..(l + 1) * np];
-                    let (v, g) = t.eval_with_grad(loss, &cols, p);
-                    assert_eq!(v.to_bits(), vals[l].to_bits(), "value lane {l}/{lanes}");
-                    for (a, b) in grads[l * np..(l + 1) * np].iter().zip(&g) {
-                        assert_eq!(a.to_bits(), b.to_bits(), "grad lane {l}/{lanes}");
-                    }
+            let params = lane_params(np, lanes);
+            let mut k = LaneKernel::compile(&t, loss, lanes);
+            k.bind_inputs(&cols);
+            let vals = k.forward(&params).to_vec();
+            let mut grads = vec![f64::NAN; lanes * np];
+            k.backward(&mut grads);
+            for l in 0..lanes {
+                let p = &params[l * np..(l + 1) * np];
+                let (v, g) = t.eval_with_grad(loss, &cols, p);
+                assert_eq!(v.to_bits(), vals[l].to_bits(), "value lane {l}/{lanes}");
+                for (a, b) in grads[l * np..(l + 1) * np].iter().zip(&g) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "grad lane {l}/{lanes}");
                 }
             }
         }
@@ -840,7 +819,7 @@ mod tests {
             let cols = columns(3, b);
             k.bind_inputs(&cols);
             let params = lane_params(np, 4);
-            let vals = k.forward_active(&params, 4).to_vec();
+            let vals = k.forward(&params).to_vec();
             let (v0, _) = t.eval_with_grad(loss, &cols, &params[..np]);
             assert_eq!(vals[0].to_bits(), v0.to_bits());
         }
@@ -860,9 +839,9 @@ mod tests {
         let params = lane_params(3, 4);
         let mut k = LaneKernel::compile(&t, loss, 4);
         k.bind_inputs(&cols);
-        let vals = k.forward_active(&params, 4).to_vec();
+        let vals = k.forward(&params).to_vec();
         let mut grads = vec![0.0; 12];
-        k.backward_active(&mut grads, 4);
+        k.backward(&mut grads);
         for l in 0..4 {
             let (v, g) = t.eval_with_grad(loss, &cols, &params[l * 3..(l + 1) * 3]);
             assert_eq!(v.to_bits(), vals[l].to_bits());
@@ -877,6 +856,6 @@ mod tests {
     fn forward_before_bind_panics() {
         let (t, loss, _) = gcln_like(2, 1);
         let mut k = LaneKernel::compile(&t, loss, 2);
-        k.forward_active(&[0.0; 16], 1);
+        k.forward(&[0.0; 16]);
     }
 }

@@ -7,8 +7,10 @@
 //!   over a flat, reusable value/adjoint arena — zero heap allocation on
 //!   the epoch hot path — with fused `affine` and `gaussian` nodes for
 //!   the patterns G-CLN graphs build in bulk.
-//! - [`optim`]: Adam (the paper's optimizer: lr 0.01, decay 0.9996) and
-//!   SGD, plus the unit-L2 weight projection of §5.1.2.
+//! - [`lanes`]: one tape topology evaluated for several parameter sets
+//!   per pass, bit-identical to the scalar tape (PBQU bounds training).
+//! - [`optim`]: Adam (the paper's optimizer: lr 0.01, decay 0.9996), its
+//!   per-lane form, and the unit-L2 weight projection of §5.1.2.
 //! - [`gradcheck`]: finite-difference validation of the reverse pass.
 //!
 //! # Examples
@@ -42,5 +44,5 @@ pub mod optim;
 pub mod tape;
 
 pub use lanes::LaneKernel;
-pub use optim::{Adam, AdamLanes, OptimizerConfig, Sgd};
+pub use optim::{Adam, AdamLanes, OptimizerConfig};
 pub use tape::{Tape, Var};

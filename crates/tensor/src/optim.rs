@@ -2,7 +2,6 @@
 //!
 //! The paper trains G-CLNs with Adam (learning rate 0.01, multiplicative
 //! decay 0.9996, max 5000 epochs); [`Adam`] reproduces that update rule.
-//! [`Sgd`] exists for tests and ablations.
 
 /// Configuration shared by the optimizers.
 #[derive(Clone, Copy, Debug)]
@@ -113,8 +112,7 @@ impl Adam {
 /// and decayed learning rate), and a lane's update is performed by that
 /// `Adam` on the lane's sub-slices — so lane `ℓ`'s parameter trajectory
 /// is bit-identical to a standalone scalar `Adam` fed the same gradients,
-/// no matter how many lanes advance together or in what order attempts
-/// are packed.
+/// no matter in what order the lanes advance.
 ///
 /// # Examples
 ///
@@ -124,7 +122,8 @@ impl Adam {
 /// let mut batched = AdamLanes::new(2, 3, cfg);
 /// let mut flat = vec![1.0; 6];
 /// let grads = vec![0.5; 6];
-/// batched.step_active(&mut flat, &grads, 2);
+/// batched.step_lane(0, &mut flat, &grads);
+/// batched.step_lane(1, &mut flat, &grads);
 /// let mut solo = Adam::new(3, cfg);
 /// let mut p = vec![1.0; 3];
 /// solo.step(&mut p, &[0.5; 3]);
@@ -143,11 +142,6 @@ impl AdamLanes {
         AdamLanes { lanes: vec![Adam::new(stride, config); lanes], stride }
     }
 
-    /// Parameters per lane.
-    pub fn stride(&self) -> usize {
-        self.stride
-    }
-
     /// Applies one Adam update to lane `lane`'s sub-slices of the flat
     /// `[lane][param]` buffers.
     ///
@@ -157,47 +151,6 @@ impl AdamLanes {
     pub fn step_lane(&mut self, lane: usize, params: &mut [f64], grads: &[f64]) {
         let at = lane * self.stride;
         self.lanes[lane].step(&mut params[at..at + self.stride], &grads[at..at + self.stride]);
-    }
-
-    /// Applies one Adam update to the first `active` lanes.
-    pub fn step_active(&mut self, params: &mut [f64], grads: &[f64], active: usize) {
-        for lane in 0..active {
-            self.step_lane(lane, params, grads);
-        }
-    }
-
-    /// Resets every lane (see [`Adam::reset`]).
-    pub fn reset(&mut self) {
-        self.lanes.iter_mut().for_each(Adam::reset);
-    }
-}
-
-/// Plain stochastic gradient descent with learning-rate decay.
-#[derive(Clone, Debug)]
-pub struct Sgd {
-    config: OptimizerConfig,
-    lr: f64,
-}
-
-impl Sgd {
-    /// Creates an SGD optimizer.
-    pub fn new(config: OptimizerConfig) -> Sgd {
-        Sgd { config, lr: config.learning_rate }
-    }
-
-    /// Applies one SGD update in place.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `params` and `grads` differ in length.
-    pub fn step(&mut self, params: &mut [f64], grads: &[f64]) {
-        assert_eq!(params.len(), grads.len(), "gradient count mismatch");
-        for (p, g) in params.iter_mut().zip(grads) {
-            if g.is_finite() {
-                *p -= self.lr * g;
-            }
-        }
-        self.lr *= self.config.decay;
     }
 }
 
@@ -261,17 +214,6 @@ mod tests {
     }
 
     #[test]
-    fn sgd_minimizes_quadratic() {
-        let mut p = vec![4.0];
-        let mut sgd = Sgd::new(OptimizerConfig { learning_rate: 0.1, decay: 1.0 });
-        for _ in 0..100 {
-            let g = vec![2.0 * p[0]];
-            sgd.step(&mut p, &g);
-        }
-        assert!(p[0].abs() < 1e-4);
-    }
-
-    #[test]
     fn adam_reset_clears_state() {
         let mut adam = Adam::new(1, OptimizerConfig { learning_rate: 0.01, decay: 0.9 });
         let mut p = vec![1.0];
@@ -307,11 +249,9 @@ mod tests {
             let grads: Vec<f64> = (0..lanes * stride)
                 .map(|i| ((i + step) as f64 * 0.31).cos())
                 .collect();
-            // Advance lanes in different orders/counts than the solo loop.
-            let active = 1 + (step % lanes);
-            batched.step_active(&mut flat, &grads, active);
-            for l in active..lanes {
-                batched.step_lane(l, &mut flat, &grads);
+            // Advance lanes in a rotating order, unlike the solo loop.
+            for k in 0..lanes {
+                batched.step_lane((k + step) % lanes, &mut flat, &grads);
             }
             for (l, (adam, p)) in solo.iter_mut().enumerate() {
                 adam.step(p, &grads[l * stride..(l + 1) * stride]);

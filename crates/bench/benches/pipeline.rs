@@ -6,6 +6,7 @@ use gcln::data::{collect_loop_states, Dataset};
 use gcln_bench::mixed::{
     mixed_jobs, profile_job, replay_job_granularity, replay_stage_graph, JobProfile,
 };
+use gcln_engine::bounds::{learn_bounds, BoundsConfig};
 use gcln_sched::{Granularity, SchedConfig, Scheduler, SubmitOptions};
 use gcln::model::{train_equality_gcln, GclnConfig};
 use gcln::pipeline::{infer_invariants, PipelineConfig};
@@ -40,6 +41,23 @@ fn bench_training_epochs(c: &mut Criterion) {
             let cfg = GclnConfig { max_epochs: 100, ..GclnConfig::default() };
             train_equality_gcln(&columns, &cfg)
         })
+    });
+}
+
+/// PBQU bound learning on sqrt1's loop-head states, built the way the
+/// engine's setup stage builds them (default trace, growth filter and
+/// normalization): every candidate subset with all its restarts.
+fn bench_bounds(c: &mut Criterion) {
+    let problem = nla_problem("sqrt1").unwrap();
+    let config = PipelineConfig::default();
+    let points = collect_loop_states(&problem, 0, config.max_inputs, config.trace_seeds);
+    let space = TermSpace::enumerate(problem.extended_names(), problem.max_degree);
+    let keep = growth_filter(&space, &points, config.magnitude_cap);
+    let space = space.select(&keep);
+    let columns = Dataset::from_points(points.clone(), &space, config.normalize).columns();
+    let bounds = BoundsConfig::default();
+    c.bench_function("bounds_pbqu_sqrt1", |b| {
+        b.iter(|| learn_bounds(&space, &points, &columns, &bounds))
     });
 }
 
@@ -209,6 +227,7 @@ criterion_group!(
     benches,
     bench_trace_collection,
     bench_training_epochs,
+    bench_bounds,
     bench_groebner,
     bench_checker,
     bench_end_to_end,

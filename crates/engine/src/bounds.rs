@@ -14,8 +14,7 @@ use crate::terms::TermSpace;
 use gcln_logic::relax::pbqu_ge;
 use gcln_logic::{Atom, Pred};
 use gcln_numeric::{Poly, Rat};
-use gcln_tensor::lanes::LaneKernel;
-use gcln_tensor::optim::{project_unit_l2, AdamLanes, OptimizerConfig};
+use gcln_tensor::optim::{project_unit_l2, Adam, OptimizerConfig};
 use gcln_tensor::tape::Tape;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -203,15 +202,6 @@ fn train_directions(
     let k = subset.len();
     let mut draws = draws.iter().copied();
     let mut next_draw = move || draws.next().expect("draw plan covers all inits");
-    let mut tape = Tape::new();
-    let xs: Vec<_> = (0..k).map(|i| tape.input(i)).collect();
-    let ws: Vec<_> = (0..k).map(|i| tape.param(i)).collect();
-    let bias = tape.param(k);
-    let z = tape.affine(&ws, &xs, Some(bias));
-    // PBQU: select(z, c2²/(z²+c2²), c1²/(z²+c1²)); loss = mean(1 − act),
-    // fused into a single tape node.
-    let loss = tape.pbqu_loss(z, config.c1, config.c2);
-
     let sub_columns: Vec<Vec<f64>> = subset.iter().map(|&t| columns[t].clone()).collect();
     // Restarts: every sign pattern up to global sign (canonical tight
     // directions), plus two random initializations.
@@ -255,34 +245,42 @@ fn train_directions(
             out.push(w.iter().map(|x| -x).collect());
         }
     }
-    // All restarts share one topology and differ only in their parameter
-    // vectors — train them as lanes of one [`LaneKernel`] pass instead of
-    // sequential tape runs. Each lane's updates are bit-identical to the
-    // historical per-init loop (kernel ≡ scalar tape per lane; per-lane
-    // Adam states are independent), so learned directions are unchanged
-    // at any lane count. Bias draws keep the sequential stream order.
-    let num_inits = inits.len();
+    // All restarts train on one tape: shared input columns, then one
+    // `affine → pbqu_loss` neuron per init over its own parameter slots
+    // `l·(k+1)..(l+1)·(k+1)`, the losses joined by an `add` chain. The
+    // root adjoint is 1.0 and `Add` passes its upstream through
+    // unchanged, so every loss node is seeded with exactly the 1.0 a
+    // one-init tape starts from: each init's gradients, and with its own
+    // `Adam` its whole trajectory, are bit-identical to training it
+    // alone. Bias draws keep the sequential stream order.
     let np = k + 1;
-    let mut all_params: Vec<f64> = Vec::with_capacity(num_inits * np);
-    for init in &inits {
-        all_params.extend_from_slice(init);
-        all_params.push(next_draw() * 0.1);
+    let mut tape = Tape::new();
+    let xs: Vec<_> = (0..k).map(|i| tape.input(i)).collect();
+    let mut total = None;
+    let mut params: Vec<f64> = Vec::with_capacity(inits.len() * np);
+    for (l, init) in inits.iter().enumerate() {
+        let ws: Vec<_> = (0..k).map(|i| tape.param(l * np + i)).collect();
+        let bias = tape.param(l * np + k);
+        let z = tape.affine(&ws, &xs, Some(bias));
+        // PBQU: select(z, c2²/(z²+c2²), c1²/(z²+c1²)); loss = mean(1 − act),
+        // fused into a single tape node.
+        let loss = tape.pbqu_loss(z, config.c1, config.c2);
+        total = Some(total.map_or(loss, |t| tape.add(t, loss)));
+        params.extend_from_slice(init);
+        params.push(next_draw() * 0.1);
     }
-    let mut kernel = LaneKernel::compile(&tape, loss, num_inits);
-    kernel.bind_inputs(&sub_columns);
-    let mut adam = AdamLanes::new(num_inits, np, config.optimizer);
-    let mut grads = vec![0.0; num_inits * np];
+    let total = total.expect("every trained subset has inits");
+    let mut adams = vec![Adam::new(np, config.optimizer); inits.len()];
+    let mut grads = vec![0.0; params.len()];
     for _ in 0..config.epochs {
-        kernel.forward(&all_params);
-        kernel.backward(&mut grads);
-        for l in 0..num_inits {
-            adam.step_lane(l, &mut all_params, &grads);
-            project_unit_l2(&mut all_params[l * np..l * np + k]);
+        tape.eval_with_grad_into(total, &sub_columns, &params, &mut grads);
+        let per_init = params.chunks_exact_mut(np).zip(grads.chunks_exact(np));
+        for ((p, g), adam) in per_init.zip(&mut adams) {
+            adam.step(p, g);
+            project_unit_l2(&mut p[..k]);
         }
     }
-    for l in 0..num_inits {
-        out.push(all_params[l * np..l * np + k].to_vec());
-    }
+    out.extend(params.chunks_exact(np).map(|p| p[..k].to_vec()));
     out
 }
 
@@ -443,10 +441,10 @@ mod tests {
     }
 
     #[test]
-    fn lane_batched_directions_match_sequential_training() {
+    fn shared_tape_directions_match_sequential_training() {
         // Re-derive train_directions' learned directions with the
         // historical one-init-at-a-time loop and require bitwise equality
-        // — the lane-batched trainer must be a pure reorganization.
+        // — the shared-tape trainer must be a pure reorganization.
         use gcln_tensor::optim::Adam;
         let space = TermSpace::enumerate(names(&["n", "a"]), 2);
         let points = sqrt_points();
@@ -458,7 +456,7 @@ mod tests {
         let num_inits = (1usize << k) + 2;
         let mut rng = StdRng::seed_from_u64(config.seed);
         let draws: Vec<f64> = (0..2 * k + num_inits).map(|_| rng.gen::<f64>()).collect();
-        let batched = train_directions(&subset, &columns, &config, &draws);
+        let shared = train_directions(&subset, &columns, &config, &draws);
 
         // Sequential reference: same tape, same init construction, one
         // Adam per init run to completion before the next starts.
@@ -498,12 +496,12 @@ mod tests {
             }
             trained.push(params[..k].to_vec());
         }
-        // Trained directions occupy the tail of the batched output (after
-        // the fixed canonical + small-integer-ratio candidates).
-        let tail = &batched[batched.len() - trained.len()..];
+        // Trained directions occupy the tail of the shared-tape output
+        // (after the fixed canonical + small-integer-ratio candidates).
+        let tail = &shared[shared.len() - trained.len()..];
         for (got, want) in tail.iter().zip(&trained) {
             for (a, b) in got.iter().zip(want) {
-                assert_eq!(a.to_bits(), b.to_bits(), "lane-batched direction diverged");
+                assert_eq!(a.to_bits(), b.to_bits(), "shared-tape direction diverged");
             }
         }
     }

@@ -1231,21 +1231,37 @@ mod tests {
     }
 
     /// End-to-end starvation guard: one worker, an aggressive aging
-    /// interval, and a burst of high-priority jobs behind one
-    /// low-priority job — the low job must not finish last.
+    /// interval, and a burst of high-priority jobs arriving behind one
+    /// low-priority job already under way — the low job must not finish
+    /// last (without aging it would wait for the whole burst).
+    ///
+    /// The low job's event sink holds the only worker at the end of its
+    /// training stage until all five high-priority jobs are admitted, so
+    /// the pop sequence, and with it the finishing order, is fixed.
     #[test]
     fn aging_prevents_starvation_under_a_high_priority_burst() {
         let cfg = SchedConfig { aging_interval: Some(2), ..SchedConfig::with_workers(1) };
         let sched = Scheduler::new(cfg);
         let order: Arc<StdMutex<Vec<String>>> = Arc::new(StdMutex::new(Vec::new()));
+        let (reached_tx, reached_rx) = std::sync::mpsc::channel::<()>();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        let gate = StdMutex::new(Some((reached_tx, release_rx)));
         let mut tickets = Vec::new();
         let lo_order = order.clone();
         tickets.push(sched.submit_with(
             quick_job("ps2"),
             SubmitOptions::priority(-5),
-            None,
+            Some(Box::new(move |e| {
+                if let Event::StageFinished { stage: gcln_engine::Stage::Train, .. } = e.event {
+                    if let Some((reached, release)) = gate.lock().unwrap().take() {
+                        reached.send(()).unwrap();
+                        let _ = release.recv();
+                    }
+                }
+            })),
             Some(Box::new(move |_, _| lo_order.lock().unwrap().push("lo".into()))),
         ));
+        reached_rx.recv().expect("the low-priority job reaches the end of training");
         for i in 0..5 {
             let hi_order = order.clone();
             tickets.push(sched.submit_with(
@@ -1255,6 +1271,7 @@ mod tests {
                 Some(Box::new(move |_, _| hi_order.lock().unwrap().push(format!("hi{i}")))),
             ));
         }
+        release_tx.send(()).unwrap();
         for t in &tickets {
             t.wait();
         }

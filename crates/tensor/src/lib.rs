@@ -7,10 +7,8 @@
 //!   over a flat, reusable value/adjoint arena — zero heap allocation on
 //!   the epoch hot path — with fused `affine` and `gaussian` nodes for
 //!   the patterns G-CLN graphs build in bulk.
-//! - [`lanes`]: one tape topology evaluated for several parameter sets
-//!   per pass, bit-identical to the scalar tape (PBQU bounds training).
-//! - [`optim`]: Adam (the paper's optimizer: lr 0.01, decay 0.9996), its
-//!   per-lane form, and the unit-L2 weight projection of §5.1.2.
+//! - [`optim`]: Adam (the paper's optimizer: lr 0.01, decay 0.9996) and
+//!   the unit-L2 weight projection of §5.1.2.
 //! - [`gradcheck`]: finite-difference validation of the reverse pass.
 //!
 //! # Examples
@@ -39,10 +37,8 @@
 
 pub mod fastmath;
 pub mod gradcheck;
-pub mod lanes;
 pub mod optim;
 pub mod tape;
 
-pub use lanes::LaneKernel;
-pub use optim::{Adam, AdamLanes, OptimizerConfig};
+pub use optim::{Adam, OptimizerConfig};
 pub use tape::{Tape, Var};

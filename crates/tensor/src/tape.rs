@@ -9,7 +9,7 @@
 //!   (length 1). Binary operations broadcast `1 × B → B`.
 //! - Graphs are built **once** per training attempt and then re-evaluated
 //!   every epoch with fresh parameter values ([`Tape::forward`] /
-//!   [`Tape::backward`]), so the graph size is `O(model)`, not
+//!   [`Tape::backward_into`]), so the graph size is `O(model)`, not
 //!   `O(model × epochs)`.
 //! - The op set is exactly what CLN relaxations need: field arithmetic,
 //!   `exp`, powers, a piecewise selector for the PBQU activation, clamped
@@ -30,9 +30,14 @@
 //! touched instead of scanning gradient buffers for zeros.
 //!
 //! All transcendentals route through [`crate::fastmath::exp64`] and all
-//! batch reductions through [`crate::fastmath::reduce_blocked4`] — the
-//! same helpers the lane-batched kernel ([`crate::lanes`]) uses — so the
-//! scalar and batched engines are bit-identical by construction.
+//! batch reductions through [`crate::fastmath::reduce_blocked4`]: one
+//! implementation, one summation order. A node's values and adjoints
+//! depend only on its operands and its upstream adjoint, so independent
+//! subgraphs can share one tape: joined by an `add` chain, every
+//! subgraph's output receives exactly the root's adjoint 1.0, and its
+//! parameter gradients are bit-identical to those of a tape holding that
+//! subgraph alone (PBQU bounds training relies on this to train all its
+//! restarts in one pass).
 //!
 //! # Examples
 //!
@@ -73,7 +78,7 @@ impl Var {
 }
 
 #[derive(Clone, Debug)]
-pub(crate) enum Op {
+enum Op {
     /// External batched input column.
     Input(usize),
     /// Learnable scalar parameter.
@@ -190,20 +195,6 @@ impl Tape {
     /// Number of distinct parameters referenced.
     pub fn num_params(&self) -> usize {
         self.num_params
-    }
-
-    /// Internal views for the lane-batched kernel ([`crate::lanes`]),
-    /// which compiles its own execution plan from the recorded ops.
-    pub(crate) fn ops_slice(&self) -> &[Op] {
-        &self.ops
-    }
-
-    pub(crate) fn scalar_flags(&self) -> &[bool] {
-        &self.scalar
-    }
-
-    pub(crate) fn requires_grad_flags(&self) -> &[bool] {
-        &self.requires_grad
     }
 
     fn push(&mut self, op: Op) -> Var {
@@ -525,13 +516,11 @@ impl Tape {
                     out[0] = sum_blocked(v) / v.len() as f64;
                 }
                 Op::Affine { weights, xs, bias } => {
-                    match bias {
-                        Some(b) => {
-                            let bv = slot(b);
-                            for (j, o) in out.iter_mut().enumerate() {
-                                *o = bget(bv, j);
-                            }
-                        }
+                    // A broadcast bias is a plain fill: it vectorizes,
+                    // where a per-element `bget` does not.
+                    match bias.map(|b| slot(&b)) {
+                        Some(&[b0]) => out.fill(b0),
+                        Some(bv) => out.copy_from_slice(bv),
                         None => out.fill(0.0),
                     }
                     for (w, x) in weights.iter().zip(xs.iter()) {
@@ -618,26 +607,12 @@ impl Tape {
     }
 
     /// Runs a backward pass from `output` (after [`Tape::forward`]),
-    /// returning `∂output/∂paramᵢ` for every parameter.
-    ///
-    /// Allocates the returned gradient vector every call; prefer
-    /// [`Tape::backward_into`] with a reused buffer on hot paths.
-    #[deprecated(note = "use backward_into with a caller-held buffer")]
-    pub fn backward(&mut self, output: Var) -> Vec<f64> {
-        let mut param_grads = vec![0.0; self.num_params];
-        self.backward_into(output, &mut param_grads);
-        param_grads
-    }
-
-    /// Runs a backward pass from `output` (after [`Tape::forward`]),
-    /// writing `∂output/∂paramᵢ` into `param_grads` — the zero-allocation
-    /// replacement for [`Tape::backward`].
+    /// writing `∂output/∂paramᵢ` into `param_grads`.
     ///
     /// `param_grads[..num_params]` is overwritten (not accumulated into);
-    /// entries past `num_params` are left untouched, which lets a lane
-    /// kernel hand per-lane sub-slices of one flat buffer to this method.
-    /// Only nodes whose adjoint was actually touched are visited (no
-    /// zero-scanning) and no heap allocation occurs.
+    /// entries past `num_params` are left untouched. Only nodes whose
+    /// adjoint was actually touched are visited (no zero-scanning) and no
+    /// heap allocation occurs.
     ///
     /// # Panics
     ///
@@ -1087,9 +1062,7 @@ impl Tape {
                     // NOTE: the arena engine reduces scalar-weight adjoints
                     // with `reduce_fma_blocked4`; this oracle keeps the
                     // plain product form. The ≤1-ulp-per-step difference is
-                    // far inside the property tests' 1e-12 tolerance (the
-                    // *bitwise* contract is arena ↔ lane kernel, not the
-                    // oracle).
+                    // far inside the property tests' 1e-12 tolerance.
                     for (w, x) in weights.iter().zip(xs.iter()) {
                         let (wv, xv) = (values[w.0].clone(), values[x.0].clone());
                         acc(w, &|j, g| g * bget(&xv, j));
@@ -1154,7 +1127,7 @@ fn slice_at<'a>(arena: &'a [f64], offsets: &[usize], lens: &[usize], v: Var) -> 
 /// into the slot this pass: it assigns instead of accumulating, which is
 /// what lets `backward` skip zeroing the whole arena.
 #[inline]
-pub(crate) fn accum_into(
+fn accum_into(
     grads_prefix: &mut [f64],
     off: usize,
     tlen: usize,
@@ -1203,7 +1176,7 @@ pub(crate) fn accum_into(
     }
 }
 
-pub(crate) fn bget(v: &[f64], j: usize) -> f64 {
+fn bget(v: &[f64], j: usize) -> f64 {
     if v.len() == 1 {
         v[0]
     } else {
@@ -1211,13 +1184,13 @@ pub(crate) fn bget(v: &[f64], j: usize) -> f64 {
     }
 }
 
-pub(crate) fn map_into(out: &mut [f64], a: &[f64], f: impl Fn(f64) -> f64) {
+fn map_into(out: &mut [f64], a: &[f64], f: impl Fn(f64) -> f64) {
     for (o, &x) in out.iter_mut().zip(a) {
         *o = f(x);
     }
 }
 
-pub(crate) fn zip_into(out: &mut [f64], a: &[f64], b: &[f64], f: impl Fn(f64, f64) -> f64) {
+fn zip_into(out: &mut [f64], a: &[f64], b: &[f64], f: impl Fn(f64, f64) -> f64) {
     match (a.len(), b.len()) {
         (1, 1) => out[0] = f(a[0], b[0]),
         (1, _) => {
@@ -1369,6 +1342,13 @@ mod tests {
         let inputs = vec![vec![1.0], vec![2.0], vec![3.0]];
         let v = t.forward(out, &inputs, &[10.0, 20.0, 30.0, 5.0]);
         assert_eq!(v, 10.0 + 40.0 + 90.0 + 5.0);
+        // A batch bias adds per sample.
+        let bias = t.input(3);
+        let aff = t.affine(&ws, &xs, Some(bias));
+        let out = t.sum_batch(aff);
+        let inputs = vec![vec![1.0, 0.0], vec![2.0, 0.0], vec![3.0, 1.0], vec![5.0, 7.0]];
+        let v = t.forward(out, &inputs, &[10.0, 20.0, 30.0, 5.0]);
+        assert_eq!(v, (10.0 + 40.0 + 90.0 + 5.0) + (30.0 + 7.0));
     }
 
     #[test]

@@ -2,7 +2,6 @@
 //! randomly generated computation graphs.
 
 use gcln_tensor::gradcheck::check_gradients;
-use gcln_tensor::lanes::LaneKernel;
 use gcln_tensor::optim::project_unit_l2;
 use gcln_tensor::tape::{Tape, Var};
 use proptest::prelude::*;
@@ -46,11 +45,12 @@ fn steps(n: usize) -> impl Strategy<Value = Vec<Step>> {
 }
 
 /// Builds the graph described by `ops` on top of base nodes
-/// `[input, param0, param1, const 0.5]`, always reducing with mean.
-fn build(tape: &mut Tape, ops: &[Step]) -> Var {
+/// `[input, param p, param p+1, const 0.5]` with `p = first_param`,
+/// always reducing with mean.
+fn build(tape: &mut Tape, ops: &[Step], first_param: usize) -> Var {
     let x = tape.input(0);
-    let p0 = tape.param(0);
-    let p1 = tape.param(1);
+    let p0 = tape.param(first_param);
+    let p1 = tape.param(first_param + 1);
     let c = tape.constant(0.5);
     let mut nodes = vec![x, p0, p1, c];
     for op in ops {
@@ -125,7 +125,7 @@ proptest! {
         xs in proptest::collection::vec(-2.0f64..2.0, 1..6),
     ) {
         let mut tape = Tape::new();
-        let out = build(&mut tape, &ops);
+        let out = build(&mut tape, &ops, 0);
         let (v, _) = tape.eval_with_grad(out, std::slice::from_ref(&xs), &[p0, p1]);
         prop_assume!(v.is_finite() && v.abs() < 1e6);
         let report = check_gradients(&mut tape, out, &[xs], &[p0, p1], 1e-5);
@@ -146,7 +146,7 @@ proptest! {
         xs in proptest::collection::vec(-2.0f64..2.0, 1..6),
     ) {
         let mut tape = Tape::new();
-        let out = build(&mut tape, &ops);
+        let out = build(&mut tape, &ops, 0);
         let (v_ref, g_ref) =
             tape.reference_eval_with_grad(out, std::slice::from_ref(&xs), &[p0, p1]);
         prop_assume!(v_ref.is_finite() && g_ref.iter().all(|g| g.is_finite()));
@@ -175,7 +175,7 @@ proptest! {
         xs2 in proptest::collection::vec(-2.0f64..2.0, 5..9),
     ) {
         let mut tape = Tape::new();
-        let out = build(&mut tape, &ops);
+        let out = build(&mut tape, &ops, 0);
         for xs in [xs1, xs2] {
             let (v_ref, g_ref) =
                 tape.reference_eval_with_grad(out, std::slice::from_ref(&xs), &[p0, p1]);
@@ -188,37 +188,37 @@ proptest! {
         }
     }
 
-    /// The lane kernel is **bitwise** identical to the scalar arena on
-    /// arbitrary graphs (including fused and broadcast nodes), at any
-    /// lane width and for any batch size — the contract that lets PBQU
-    /// bounds training batch its inits without changing what it learns.
+    /// Copies of one graph on a shared tape, each over its own parameter
+    /// slots and joined by an `add` chain, evaluate and differentiate
+    /// **bitwise** like a tape holding one copy: the root adjoint 1.0
+    /// passes through every `add` unchanged — the contract that lets PBQU
+    /// bounds training run all its restarts on one tape.
     #[test]
-    fn lane_kernel_is_bitwise_identical_to_scalar(
+    fn shared_tape_copies_match_one_copy_tape_bitwise(
         ops in steps(16),
-        lanes in 1usize..6,
-        params in proptest::collection::vec(-1.5f64..1.5, 12),
+        copies in 1usize..5,
+        params in proptest::collection::vec(-1.5f64..1.5, 8),
         xs in proptest::collection::vec(-2.0f64..2.0, 1..6),
     ) {
-        let mut tape = Tape::new();
-        let out = build(&mut tape, &ops);
         let np = 2;
-        let mut kernel = LaneKernel::compile(&tape, out, lanes);
-        kernel.bind_inputs(std::slice::from_ref(&xs));
-        let vals = kernel.forward(&params[..lanes * np]).to_vec();
-        let mut grads = vec![f64::NAN; lanes * np];
-        kernel.backward(&mut grads);
-        for l in 0..lanes {
-            let p = &params[l * np..(l + 1) * np];
-            let (v, g) = tape.eval_with_grad(out, std::slice::from_ref(&xs), p);
-            prop_assume!(v.is_finite());
+        let cols = std::slice::from_ref(&xs);
+        let mut shared = Tape::new();
+        let outs: Vec<Var> = (0..copies).map(|c| build(&mut shared, &ops, c * np)).collect();
+        let total = outs[1..].iter().fold(outs[0], |t, &o| shared.add(t, o));
+        let (_, grads) = shared.eval_with_grad(total, cols, &params[..copies * np]);
+        let mut single = Tape::new();
+        let out = build(&mut single, &ops, 0);
+        for (c, &shared_out) in outs.iter().enumerate() {
+            let (v, g) = single.eval_with_grad(out, cols, &params[c * np..(c + 1) * np]);
+            let got = shared.value_of(shared_out)[0];
             prop_assert_eq!(
-                v.to_bits(), vals[l].to_bits(),
-                "value lane {}/{}: scalar {} vs kernel {}", l, lanes, v, vals[l]
+                v.to_bits(), got.to_bits(),
+                "value copy {}/{}: one-copy {} vs shared {}", c, copies, v, got
             );
-            for (a, b) in grads[l * np..(l + 1) * np].iter().zip(&g) {
+            for (a, b) in grads[c * np..(c + 1) * np].iter().zip(&g) {
                 prop_assert_eq!(
                     a.to_bits(), b.to_bits(),
-                    "grad lane {}/{}: kernel {} vs scalar {}", l, lanes, a, b
+                    "grad copy {}/{}: shared {} vs one-copy {}", c, copies, a, b
                 );
             }
         }

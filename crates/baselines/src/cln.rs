@@ -83,7 +83,7 @@ pub fn train_template_cln(problem: &Problem, template: ClnTemplate, seed: u64) -
     let mut acc = None;
     for li in 0..n_lits {
         let ws: Vec<_> = (0..num_terms).map(|t| tape.param(li * num_terms + t)).collect();
-        let z = tape.affine(&ws, &xs, None);
+        let z = tape.affine(&ws, &xs);
         let act = tape.gaussian(z, neg_half_inv_sigma2);
         let factor = if is_disj { tape.sub(one, act) } else { act };
         acc = Some(match acc {

@@ -246,13 +246,13 @@ fn train_directions(
         }
     }
     // All restarts train on one tape: shared input columns, then one
-    // `affine → pbqu_loss` neuron per init over its own parameter slots
-    // `l·(k+1)..(l+1)·(k+1)`, the losses joined by an `add` chain. The
-    // root adjoint is 1.0 and `Add` passes its upstream through
-    // unchanged, so every loss node is seeded with exactly the 1.0 a
-    // one-init tape starts from: each init's gradients, and with its own
-    // `Adam` its whole trajectory, are bit-identical to training it
-    // alone. Bias draws keep the sequential stream order.
+    // fused `pbqu_neuron` (loss = mean(1 − act(b + w·x)), paper §4.2) per
+    // init over its own parameter slots `l·(k+1)..(l+1)·(k+1)`, the losses
+    // joined by an `add` chain. The root adjoint is 1.0 and `Add` passes
+    // its upstream through unchanged, so every neuron is seeded with
+    // exactly the 1.0 a one-init tape starts from: each init's gradients,
+    // and with its own `Adam` its whole trajectory, are bit-identical to
+    // training it alone. Bias draws keep the sequential stream order.
     let np = k + 1;
     let mut tape = Tape::new();
     let xs: Vec<_> = (0..k).map(|i| tape.input(i)).collect();
@@ -261,10 +261,7 @@ fn train_directions(
     for (l, init) in inits.iter().enumerate() {
         let ws: Vec<_> = (0..k).map(|i| tape.param(l * np + i)).collect();
         let bias = tape.param(l * np + k);
-        let z = tape.affine(&ws, &xs, Some(bias));
-        // PBQU: select(z, c2²/(z²+c2²), c1²/(z²+c1²)); loss = mean(1 − act),
-        // fused into a single tape node.
-        let loss = tape.pbqu_loss(z, config.c1, config.c2);
+        let loss = tape.pbqu_neuron(&ws, &xs, bias, config.c1, config.c2);
         total = Some(total.map_or(loss, |t| tape.add(t, loss)));
         params.extend_from_slice(init);
         params.push(next_draw() * 0.1);
@@ -273,7 +270,9 @@ fn train_directions(
     let mut adams = vec![Adam::new(np, config.optimizer); inits.len()];
     let mut grads = vec![0.0; params.len()];
     for _ in 0..config.epochs {
-        tape.eval_with_grad_into(total, &sub_columns, &params, &mut grads);
+        // The loss value is never read, so the gradient-only pass skips
+        // every neuron's forward: backward recomputes `z` itself.
+        tape.grad_into(total, &sub_columns, &params, &mut grads);
         let per_init = params.chunks_exact_mut(np).zip(grads.chunks_exact(np));
         for ((p, g), adam) in per_init.zip(&mut adams) {
             adam.step(p, g);
@@ -443,65 +442,83 @@ mod tests {
     #[test]
     fn shared_tape_directions_match_sequential_training() {
         // Re-derive train_directions' learned directions with the
-        // historical one-init-at-a-time loop and require bitwise equality
-        // — the shared-tape trainer must be a pure reorganization.
+        // historical one-init-at-a-time loop on a tape of basic ops, and
+        // require bitwise equality: the shared tape, the fused neuron and
+        // the gradient-only pass together must be a pure reorganization.
         use gcln_tensor::optim::Adam;
+        use gcln_tensor::tape::Var;
         let space = TermSpace::enumerate(names(&["n", "a"]), 2);
         let points = sqrt_points();
         let ds = Dataset::from_points(points.clone(), &space, Some(10.0));
         let columns = ds.columns();
         let config = BoundsConfig { epochs: 40, ..BoundsConfig::default() };
-        let subset = vec![0usize, 1];
-        let k = subset.len();
-        let num_inits = (1usize << k) + 2;
-        let mut rng = StdRng::seed_from_u64(config.seed);
-        let draws: Vec<f64> = (0..2 * k + num_inits).map(|_| rng.gen::<f64>()).collect();
-        let shared = train_directions(&subset, &columns, &config, &draws);
+        for subset in [vec![0usize, 1], vec![1, 2, 4]] {
+            let k = subset.len();
+            let num_inits = (1usize << k) + 2;
+            let mut rng = StdRng::seed_from_u64(config.seed);
+            let draws: Vec<f64> = (0..2 * k + num_inits).map(|_| rng.gen::<f64>()).collect();
+            let shared = train_directions(&subset, &columns, &config, &draws);
 
-        // Sequential reference: same tape, same init construction, one
-        // Adam per init run to completion before the next starts.
-        let mut draws_it = draws.iter().copied();
-        let mut next_draw = move || draws_it.next().unwrap();
-        let mut tape = Tape::new();
-        let xs: Vec<_> = (0..k).map(|i| tape.input(i)).collect();
-        let ws: Vec<_> = (0..k).map(|i| tape.param(i)).collect();
-        let bias = tape.param(k);
-        let z = tape.affine(&ws, &xs, Some(bias));
-        let loss = tape.pbqu_loss(z, config.c1, config.c2);
-        let sub_columns: Vec<Vec<f64>> =
-            subset.iter().map(|&t| columns[t].clone()).collect();
-        let mut inits: Vec<Vec<f64>> = Vec::new();
-        for bits in 0..(1u32 << (k - 1)) {
-            let mut w: Vec<f64> = (0..k)
-                .map(|i| if i > 0 && (bits >> (i - 1)) & 1 == 1 { -1.0 } else { 1.0 })
-                .collect();
-            project_unit_l2(&mut w);
-            inits.push(w.clone());
-            inits.push(w.iter().map(|x| -x).collect());
-        }
-        for _ in 0..2 {
-            let mut w: Vec<f64> = (0..k).map(|_| next_draw() * 2.0 - 1.0).collect();
-            project_unit_l2(&mut w);
-            inits.push(w);
-        }
-        let mut trained = Vec::new();
-        for init in inits {
-            let mut params: Vec<f64> = init;
-            params.push(next_draw() * 0.1);
-            let mut adam = Adam::new(k + 1, config.optimizer);
-            for _ in 0..config.epochs {
-                let (_, grads) = tape.eval_with_grad(loss, &sub_columns, &params);
-                adam.step(&mut params, &grads);
-                project_unit_l2(&mut params[..k]);
+            // Sequential reference, one init at a time, over params
+            // `[w₀ … w_{k−1}, b]`. `z = b + Σ wᵢ·xᵢ` is an `affine` whose
+            // first weight is the bias over a constant-one column (it
+            // starts from `fma(b, 1, 0) = b`, then adds the terms by FMA
+            // in weight order); the PBQU loss is the unfused
+            // square → add → div → select → sub → mean chain.
+            let mut tape = Tape::new();
+            let one = tape.constant(1.0);
+            let xs: Vec<Var> = std::iter::once(one).chain((0..k).map(|i| tape.input(i))).collect();
+            let bias = tape.param(k);
+            let ws: Vec<Var> = std::iter::once(bias).chain((0..k).map(|i| tape.param(i))).collect();
+            let z = tape.affine(&ws, &xs);
+            let z2 = tape.square(z);
+            let c1sq = tape.constant(config.c1 * config.c1);
+            let c2sq = tape.constant(config.c2 * config.c2);
+            let d1 = tape.add(z2, c1sq);
+            let d2 = tape.add(z2, c2sq);
+            let below = tape.div(c1sq, d1);
+            let above = tape.div(c2sq, d2);
+            let act = tape.select_nonneg(z, above, below);
+            let dis = tape.sub(one, act);
+            let loss = tape.mean_batch(dis);
+            let sub_columns: Vec<Vec<f64>> = subset.iter().map(|&t| columns[t].clone()).collect();
+
+            let mut draws_it = draws.iter().copied();
+            let mut next_draw = move || draws_it.next().unwrap();
+            let mut inits: Vec<Vec<f64>> = Vec::new();
+            for bits in 0..(1u32 << (k - 1)) {
+                let mut w: Vec<f64> = (0..k)
+                    .map(|i| if i > 0 && (bits >> (i - 1)) & 1 == 1 { -1.0 } else { 1.0 })
+                    .collect();
+                project_unit_l2(&mut w);
+                inits.push(w.clone());
+                inits.push(w.iter().map(|x| -x).collect());
             }
-            trained.push(params[..k].to_vec());
-        }
-        // Trained directions occupy the tail of the shared-tape output
-        // (after the fixed canonical + small-integer-ratio candidates).
-        let tail = &shared[shared.len() - trained.len()..];
-        for (got, want) in tail.iter().zip(&trained) {
-            for (a, b) in got.iter().zip(want) {
-                assert_eq!(a.to_bits(), b.to_bits(), "shared-tape direction diverged");
+            for _ in 0..2 {
+                let mut w: Vec<f64> = (0..k).map(|_| next_draw() * 2.0 - 1.0).collect();
+                project_unit_l2(&mut w);
+                inits.push(w);
+            }
+            let mut trained = Vec::new();
+            let mut grads = vec![0.0; k + 1];
+            for init in inits {
+                let mut params: Vec<f64> = init;
+                params.push(next_draw() * 0.1);
+                let mut adam = Adam::new(k + 1, config.optimizer);
+                for _ in 0..config.epochs {
+                    tape.eval_with_grad_into(loss, &sub_columns, &params, &mut grads);
+                    adam.step(&mut params, &grads);
+                    project_unit_l2(&mut params[..k]);
+                }
+                trained.push(params[..k].to_vec());
+            }
+            // Trained directions occupy the tail of the shared-tape output
+            // (after the fixed canonical + small-integer-ratio candidates).
+            let tail = &shared[shared.len() - trained.len()..];
+            for (got, want) in tail.iter().zip(&trained) {
+                for (a, b) in got.iter().zip(want) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "k={k}: shared-tape direction diverged");
+                }
             }
         }
     }

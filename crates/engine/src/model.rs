@@ -216,7 +216,7 @@ fn build_loss_tape(num_terms: usize, clauses: &[ClauseSlot], sigma_slot: usize) 
             let xs: Vec<Var> = lit.kept_terms.iter().map(|&t| term_inputs[t]).collect();
             // Fused nodes: `affine` is one tape op for the whole dot
             // product and `gaussian` one op for exp(−z²/2σ²).
-            let z = tape.affine(&ws, &xs, None);
+            let z = tape.affine(&ws, &xs);
             let act = tape.gaussian(z, neg_half_inv_sigma2);
             let gate = tape.param(lit.gate_param);
             let factor = tape.lit_factor(gate, act);

@@ -72,7 +72,7 @@ pub fn reduce_fma_blocked4(n: usize, mut f: impl FnMut(usize) -> (f64, f64)) -> 
         tail = fma64(x, y, tail);
         j += 1;
     }
-    ((a0 + a1) + (a2 + a3)) + tail
+    combine_blocked4([a0, a1, a2, a3], tail)
 }
 
 /// Four [`reduce_fma_blocked4`] dot products sharing one pass over `a`:
@@ -112,12 +112,7 @@ pub fn reduce_fma_blocked4_x4(n: usize, a: &[f64], b: [&[f64]; 4]) -> [f64; 4] {
         }
         j += 1;
     }
-    let mut out = [0.0f64; 4];
-    for (t, o) in out.iter_mut().enumerate() {
-        let [a0, a1, a2, a3] = acc[t];
-        *o = ((a0 + a1) + (a2 + a3)) + tails[t];
-    }
-    out
+    std::array::from_fn(|t| combine_blocked4(acc[t], tails[t]))
 }
 
 /// `1.5 × 2^52`: shifting magic constant for round-to-nearest-even via
@@ -218,7 +213,17 @@ pub fn reduce_blocked4(n: usize, mut f: impl FnMut(usize) -> f64) -> f64 {
         tail += f(j);
         j += 1;
     }
-    ((a0 + a1) + (a2 + a3)) + tail
+    combine_blocked4([a0, a1, a2, a3], tail)
+}
+
+/// The combine step shared by [`reduce_blocked4`] and
+/// [`reduce_fma_blocked4`]: `((a₀+a₁)+(a₂+a₃)) + tail`. Kernels that fill
+/// the four accumulators and the tail themselves (the fused PBQU neuron
+/// reduces several sums in one pass) finish through it, so the canonical
+/// order stays defined here.
+#[inline(always)]
+pub(crate) fn combine_blocked4(acc: [f64; 4], tail: f64) -> f64 {
+    ((acc[0] + acc[1]) + (acc[2] + acc[3])) + tail
 }
 
 /// [`reduce_blocked4`] over a slice.

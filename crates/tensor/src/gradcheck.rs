@@ -102,7 +102,8 @@ mod tests {
         let xs: Vec<_> = (0..3).map(|i| t.input(i)).collect();
         let ws: Vec<_> = (0..3).map(|i| t.param(i)).collect();
         let b = t.param(3);
-        let aff = t.affine(&ws, &xs, Some(b));
+        let dot = t.affine(&ws, &xs);
+        let aff = t.add(dot, b);
         let sq = t.square(aff);
         let out = t.mean_batch(sq);
         let inputs = vec![
@@ -139,22 +140,21 @@ mod tests {
     }
 
     #[test]
-    fn checks_fused_pbqu_loss() {
-        // The bound-learning loss: pbqu_loss(affine(w, x) + b, c1, c2),
-        // exactly how bounds.rs wires the PBQU neuron. Points chosen so no
-        // z crosses the select kink within the finite-difference step.
+    fn checks_fused_pbqu_neuron() {
+        // The bound-learning neuron exactly as bounds.rs wires it. Points
+        // chosen so no z crosses the select kink within the
+        // finite-difference step.
         let mut t = Tape::new();
         let x0 = t.input(0);
         let x1 = t.input(1);
         let w0 = t.param(0);
         let w1 = t.param(1);
         let b = t.param(2);
-        let z = t.affine(&[w0, w1], &[x0, x1], Some(b));
-        let loss = t.pbqu_loss(z, 1.0, 50.0);
+        let loss = t.pbqu_neuron(&[w0, w1], &[x0, x1], b, 1.0, 50.0);
         let report = check_gradients(
             &mut t,
             loss,
-            &[vec![0.5, -1.0, 2.0, 4.0], vec![1.0, 3.0, -2.0, 0.5]],
+            &[vec![0.5, -1.0, 2.0, 4.0, 1.5], vec![1.0, 3.0, -2.0, 0.5, -0.5]],
             &[0.7, -0.4, 0.9],
             1e-5,
         );
@@ -162,43 +162,66 @@ mod tests {
     }
 
     #[test]
-    fn pbqu_loss_matches_unfused_chain() {
-        // The fused op must be bit-identical (values and gradients) to the
-        // square → add → div → select → sub → mean graph it replaces.
-        let build_unfused = |t: &mut Tape, z: Var, c1: f64, c2: f64| -> Var {
-            let z2 = t.square(z);
-            let c1sq = t.constant(c1 * c1);
-            let c2sq = t.constant(c2 * c2);
-            let d1 = t.add(z2, c1sq);
-            let d2 = t.add(z2, c2sq);
-            let below = t.div(c1sq, d1);
-            let above = t.div(c2sq, d2);
-            let act = t.select_nonneg(z, above, below);
-            let one = t.constant(1.0);
-            let dis = t.sub(one, act);
-            t.mean_batch(dis)
-        };
-        let columns = vec![vec![0.5, -1.0, 2.0, 4.0, -0.25], vec![1.0, 3.0, -2.0, 0.5, 2.0]];
-        let params = [0.7, -0.4, 0.9];
-        let mut fused = Tape::new();
-        let mut unfused = Tape::new();
-        let wire = |t: &mut Tape| -> Var {
-            let x0 = t.input(0);
-            let x1 = t.input(1);
-            let w0 = t.param(0);
-            let w1 = t.param(1);
-            let b = t.param(2);
-            t.affine(&[w0, w1], &[x0, x1], Some(b))
-        };
-        let zf = wire(&mut fused);
-        let lf = fused.pbqu_loss(zf, 1.0, 50.0);
-        let zu = wire(&mut unfused);
-        let lu = build_unfused(&mut unfused, zu, 1.0, 50.0);
-        let (vf, gf) = fused.eval_with_grad(lf, &columns, &params);
-        let (vu, gu) = unfused.eval_with_grad(lu, &columns, &params);
-        assert_eq!(vf.to_bits(), vu.to_bits(), "forward values differ");
-        for (a, b) in gf.iter().zip(&gu) {
-            assert_eq!(a.to_bits(), b.to_bits(), "gradients differ: {gf:?} vs {gu:?}");
+    fn pbqu_neuron_matches_unfused_chain() {
+        // The fused neuron must be bit-identical (value and every
+        // gradient) to the graph of basic ops it stands for, at every
+        // arity and at batch sizes that exercise the four-lane blocks and
+        // their tail. The chain's `z = b + Σ wᵢ·xᵢ` is an `affine` whose
+        // first weight is the bias over a constant-one column: it starts
+        // from `fma(b, 1, 0) = b` and adds each term by FMA in weight
+        // order, the neuron's order; the bias adjoint reduces `g·1` in
+        // `reduce_blocked4` order and the weight adjoints in
+        // `reduce_fma_blocked4` order, as the neuron's do.
+        let (c1, c2) = (1.0, 50.0);
+        for k in 1..=3usize {
+            for batch in [1usize, 2, 3, 4, 5, 377, 400] {
+                let columns: Vec<Vec<f64>> = (0..k)
+                    .map(|i| {
+                        (0..batch)
+                            .map(|j| 2.5 * ((j * 7 + i * 13) as f64 * 0.61 + 0.3).sin())
+                            .collect()
+                    })
+                    .collect();
+                // Weights, then the bias; z takes both signs over the data.
+                let params: Vec<f64> =
+                    (0..k).map(|i| 0.9 - 0.55 * i as f64).chain([0.37]).collect();
+
+                let mut fused = Tape::new();
+                let xs: Vec<Var> = (0..k).map(|i| fused.input(i)).collect();
+                let ws: Vec<Var> = (0..k).map(|i| fused.param(i)).collect();
+                let b = fused.param(k);
+                let lf = fused.pbqu_neuron(&ws, &xs, b, c1, c2);
+
+                let mut unfused = Tape::new();
+                let t = &mut unfused;
+                let one = t.constant(1.0);
+                let xs: Vec<Var> = std::iter::once(one).chain((0..k).map(|i| t.input(i))).collect();
+                let b = t.param(k);
+                let ws: Vec<Var> = std::iter::once(b).chain((0..k).map(|i| t.param(i))).collect();
+                let z = t.affine(&ws, &xs);
+                let z2 = t.square(z);
+                let c1sq = t.constant(c1 * c1);
+                let c2sq = t.constant(c2 * c2);
+                let d1 = t.add(z2, c1sq);
+                let d2 = t.add(z2, c2sq);
+                let below = t.div(c1sq, d1);
+                let above = t.div(c2sq, d2);
+                let act = t.select_nonneg(z, above, below);
+                let dis = t.sub(one, act);
+                let lu = t.mean_batch(dis);
+
+                let (vf, gf) = fused.eval_with_grad(lf, &columns, &params);
+                let (vu, gu) = unfused.eval_with_grad(lu, &columns, &params);
+                assert_eq!(vf.to_bits(), vu.to_bits(), "k={k} B={batch}: {vf} vs {vu}");
+                for (a, b) in gf.iter().zip(&gu) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "k={k} B={batch}: {gf:?} vs {gu:?}");
+                }
+                let mut only = vec![0.0; k + 1];
+                fused.grad_into(lf, &columns, &params, &mut only);
+                for (a, b) in gf.iter().zip(&only) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "k={k} B={batch}: gradient-only pass");
+                }
+            }
         }
     }
 
@@ -209,7 +232,7 @@ mod tests {
         let xs: Vec<_> = (0..2).map(|i| t.input(i)).collect();
         let ws: Vec<_> = (0..2).map(|i| t.param(i)).collect();
         let coeff = t.constant(-0.5 / (0.6 * 0.6));
-        let z = t.affine(&ws, &xs, None);
+        let z = t.affine(&ws, &xs);
         let act = t.gaussian(z, coeff);
         let gate = t.param(2);
         let gated = t.mul(gate, act);
@@ -232,7 +255,7 @@ mod tests {
             for x in [x0, x1] {
                 let w = t.param(np);
                 np += 1;
-                let z = t.affine(&[w], &[x], None);
+                let z = t.affine(&[w], &[x]);
                 let act = t.gaussian(z, coeff);
                 let gate = t.param(np);
                 np += 1;
@@ -284,7 +307,7 @@ mod tests {
                 for x in [x0, x1] {
                     let w = t.param(np);
                     np += 1;
-                    let z = t.affine(&[w], &[x], None);
+                    let z = t.affine(&[w], &[x]);
                     let act = t.gaussian(z, coeff);
                     let gate = t.param(np);
                     np += 1;

@@ -5,8 +5,10 @@
 //! - [`tape`]: a batched tape-based reverse-mode autodiff engine. Graphs
 //!   are built once per training attempt and re-evaluated each epoch
 //!   over a flat, reusable value/adjoint arena — zero heap allocation on
-//!   the epoch hot path — with fused `affine` and `gaussian` nodes for
-//!   the patterns G-CLN graphs build in bulk.
+//!   the epoch hot path — with fused `affine`, `gaussian` and
+//!   `pbqu_neuron` nodes for the patterns G-CLN graphs build in bulk, and
+//!   a gradient-only evaluation (`grad_into`) that skips the forward work
+//!   no backward step reads.
 //! - [`optim`]: Adam (the paper's optimizer: lr 0.01, decay 0.9996) and
 //!   the unit-L2 weight projection of §5.1.2.
 //! - [`gradcheck`]: finite-difference validation of the reverse pass.

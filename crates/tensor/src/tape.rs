@@ -13,10 +13,11 @@
 //!   `O(model × epochs)`.
 //! - The op set is exactly what CLN relaxations need: field arithmetic,
 //!   `exp`, powers, a piecewise selector for the PBQU activation, clamped
-//!   gates, and **fused nodes** for the two patterns G-CLN graphs build in
-//!   bulk: [`Tape::affine`] (`Σ wᵢ·xᵢ + b` as one node instead of `2k`
-//!   mul/add nodes) and [`Tape::gaussian`] (`exp(c·z²)`, the equality
-//!   relaxation).
+//!   gates, and **fused nodes** for the patterns G-CLN graphs build in
+//!   bulk: [`Tape::affine`] (`Σ wᵢ·xᵢ` as one node instead of `2k`
+//!   mul/add nodes), [`Tape::gaussian`] (`exp(c·z²)`, the equality
+//!   relaxation) and [`Tape::pbqu_neuron`] (a whole PBQU bound neuron,
+//!   `mean_j(1 − act(b + Σᵢ wᵢ·x_ij))`, as one scalar node).
 //!
 //! # Execution model
 //!
@@ -28,6 +29,15 @@
 //! rooted at the requested output lets both passes skip dead nodes
 //! entirely, and the backward sweep tracks which adjoints have been
 //! touched instead of scanning gradient buffers for zeros.
+//!
+//! [`Tape::grad_into`] is the gradient-only variant of
+//! [`Tape::eval_with_grad_into`]: its forward computes only the nodes
+//! whose values some backward step reads (plus their forward operands),
+//! and returns no loss value. A [`Tape::pbqu_neuron`] node's backward
+//! recomputes its pre-activations from the weights and columns, so a
+//! graph of neurons joined by `add` skips its whole forward pass —
+//! exactly the shape of PBQU bounds training, which never reads its loss.
+//! The mask is cached per `(graph, output)` beside the liveness mask.
 //!
 //! All transcendentals route through [`crate::fastmath::exp64`] and all
 //! batch reductions through [`crate::fastmath::reduce_blocked4`]: one
@@ -63,7 +73,8 @@
 //! ```
 
 use crate::fastmath::{
-    exp64, fma64, reduce_blocked4, reduce_fma_blocked4, reduce_fma_blocked4_x4, sum_blocked,
+    combine_blocked4, exp64, fma64, reduce_blocked4, reduce_fma_blocked4, reduce_fma_blocked4_x4,
+    sum_blocked,
 };
 
 /// Handle to a node in a [`Tape`].
@@ -105,18 +116,20 @@ enum Op {
     SumBatch(Var),
     /// Reduce a batch vector to the scalar mean of its entries.
     MeanBatch(Var),
-    /// Fused affine combination `Σ wᵢ·xᵢ (+ bias)` — one node instead of
-    /// `2k` mul/add nodes. `weights` and `xs` have equal length.
-    Affine { weights: Box<[Var]>, xs: Box<[Var]>, bias: Option<Var> },
+    /// Fused affine combination `Σ wᵢ·xᵢ` — one node instead of `2k`
+    /// mul/add nodes. `weights` and `xs` have equal length.
+    Affine { weights: Box<[Var]>, xs: Box<[Var]> },
     /// Fused Gaussian activation `exp(coeff · z²)`; with
     /// `coeff = −1/(2σ²)` this is the equality relaxation `exp(−z²/2σ²)`.
     Gaussian { z: Var, coeff: Var },
-    /// Fused PBQU tightness loss `mean_j(1 − act(z_j))` with
-    /// `act(z) = if z ≥ 0 { c2²/(z²+c2²) } else { c1²/(z²+c1²) }` —
-    /// one scalar node instead of the 8-node
-    /// square → add/add → div/div → select → sub → mean chain that bound
-    /// learning builds per candidate subset (paper §4.2).
-    PbquLoss { z: Var, c1sq: f64, c2sq: f64 },
+    /// Fused PBQU neuron `mean_j(1 − act(z_j))` with
+    /// `z_j = bias + Σᵢ wᵢ·x_ij` and
+    /// `act(z) = if z ≥ 0 { c2²/(z²+c2²) } else { c1²/(z²+c1²) }` — one
+    /// scalar node for the whole bound neuron that bound learning trains
+    /// per candidate subset and restart (paper §4.2). Weights and bias are
+    /// scalar nodes, `xs` parameter-free batch columns, `1 ≤ k ≤ 3`. No
+    /// `z` slot is kept: backward recomputes `z_j`.
+    PbquNeuron { weights: Box<[Var]>, xs: Box<[Var]>, bias: Var, pbqu: Pbqu },
     /// Fused gated t-conorm factor `1 − gate·act` (one node instead of the
     /// mul → sub pair every G-CLN literal records). The arithmetic is the
     /// chain's, operation for operation: `t = g·a`, then `1 − t`.
@@ -125,6 +138,33 @@ enum Op {
     /// instead of the sub → sub → mul → add chain every G-CLN clause
     /// records), computed in exactly the chain's operation order.
     ClauseFactor { prod: Var, gate: Var },
+}
+
+/// Most terms one [`Tape::pbqu_neuron`] spans (the paper's bound
+/// candidates combine up to 3 terms).
+const PBQU_MAX_TERMS: usize = 3;
+
+/// Evaluates `$body` with the const `$k` bound to the runtime arity
+/// `$n ∈ 1..=PBQU_MAX_TERMS`, so the PBQU kernels compile per arity with
+/// their term loops unrolled.
+macro_rules! with_arity {
+    ($n:expr, $k:ident => $body:expr) => {
+        match $n {
+            1 => {
+                const $k: usize = 1;
+                $body
+            }
+            2 => {
+                const $k: usize = 2;
+                $body
+            }
+            3 => {
+                const $k: usize = 3;
+                $body
+            }
+            n => unreachable!("pbqu_neuron arity {n} is rejected when recorded"),
+        }
+    };
 }
 
 /// A computation graph with batched reverse-mode differentiation over a
@@ -167,14 +207,24 @@ pub struct Tape {
     live_root: usize,
     /// Backward scratch: nodes whose adjoint has been written this pass.
     touched: Vec<bool>,
-    /// Output of the last completed [`Tape::forward`], if any.
+
+    // --- gradient-only mask, rebuilt only when (graph, output) changes ---
+    /// Live nodes whose values some backward step reads, closed over
+    /// their forward operands: all that [`Tape::grad_into`] computes.
+    needed: Vec<bool>,
+    /// Output node `needed` was computed for (`usize::MAX` = none).
+    needed_root: usize,
+
+    /// Output of the last completed forward pass, if any.
     last_forward: Option<usize>,
+    /// Whether that pass was gradient-only ([`Tape::grad_into`]).
+    last_grad_only: bool,
 }
 
 impl Tape {
     /// Creates an empty tape.
     pub fn new() -> Tape {
-        Tape { live_root: usize::MAX, ..Tape::default() }
+        Tape { live_root: usize::MAX, needed_root: usize::MAX, ..Tape::default() }
     }
 
     /// Number of nodes recorded so far.
@@ -214,18 +264,17 @@ impl Tape {
                 self.scalar[cond.0] && self.scalar[nonneg.0] && self.scalar[neg.0],
                 self.requires_grad[nonneg.0] || self.requires_grad[neg.0],
             ),
-            Op::Affine { weights, xs, bias } => {
-                let all = || weights.iter().chain(xs.iter()).chain(bias.iter());
-                (
-                    all().all(|v| self.scalar[v.0]),
-                    all().any(|v| self.requires_grad[v.0]),
-                )
+            Op::Affine { weights, xs } => {
+                let all = || weights.iter().chain(xs.iter());
+                (all().all(|v| self.scalar[v.0]), all().any(|v| self.requires_grad[v.0]))
             }
             Op::Gaussian { z, coeff } => (
                 self.scalar[z.0] && self.scalar[coeff.0],
                 self.requires_grad[z.0] || self.requires_grad[coeff.0],
             ),
-            Op::PbquLoss { z, .. } => (true, self.requires_grad[z.0]),
+            Op::PbquNeuron { weights, bias, .. } => {
+                (true, weights.iter().chain([bias]).any(|v| self.requires_grad[v.0]))
+            }
             Op::LitFactor { gate, act } => (
                 self.scalar[gate.0] && self.scalar[act.0],
                 self.requires_grad[gate.0] || self.requires_grad[act.0],
@@ -321,21 +370,19 @@ impl Tape {
         self.push(Op::MeanBatch(a))
     }
 
-    /// Fused affine combination `Σ wᵢ·xᵢ + b`: a **single** tape node,
-    /// where the old engine recorded `2k` mul/add nodes per call.
+    /// Fused affine combination `Σ wᵢ·xᵢ`: a **single** tape node,
+    /// where the old engine recorded `2k` mul/add nodes per call. The sum
+    /// starts from `0.0` and adds each product by FMA in weight order.
     ///
     /// # Panics
     ///
     /// Panics if `weights.len() != xs.len()`.
-    pub fn affine(&mut self, weights: &[Var], xs: &[Var], bias: Option<Var>) -> Var {
+    pub fn affine(&mut self, weights: &[Var], xs: &[Var]) -> Var {
         assert_eq!(weights.len(), xs.len(), "affine arity mismatch");
         if weights.is_empty() {
-            return match bias {
-                Some(b) => b,
-                None => self.constant(0.0),
-            };
+            return self.constant(0.0);
         }
-        self.push(Op::Affine { weights: weights.into(), xs: xs.into(), bias })
+        self.push(Op::Affine { weights: weights.into(), xs: xs.into() })
     }
 
     /// Fused Gaussian activation `exp(coeff · z²)`.
@@ -347,14 +394,45 @@ impl Tape {
         self.push(Op::Gaussian { z, coeff })
     }
 
-    /// Fused PBQU tightness loss `mean(1 − act(z))` over the batch, with
-    /// `act(z) = select(z ≥ 0, c2²/(z²+c2²), c1²/(z²+c1²))` (paper §4.2).
+    /// Fused PBQU neuron: the tightness loss `mean_j(1 − act(z_j))` of
+    /// the bound `b + Σᵢ wᵢ·xᵢ ≥ 0` over the batch, with
+    /// `act(z) = select(z ≥ 0, c2²/(z²+c2²), c1²/(z²+c1²))` (paper §4.2),
+    /// as one scalar node.
     ///
-    /// Collapses the per-element square/add/div/select/sub chain plus the
-    /// mean reduction into one scalar node; the arithmetic matches the
-    /// unfused graph operation-for-operation, so values are bit-identical.
-    pub fn pbqu_loss(&mut self, z: Var, c1: f64, c2: f64) -> Var {
-        self.push(Op::PbquLoss { z, c1sq: c1 * c1, c2sq: c2 * c2 })
+    /// The arithmetic is the unfused graph's operation for operation:
+    /// `z_j` starts from the bias and adds each `wᵢ·x_ij` by FMA in weight
+    /// order (the `affine` order), then square → add → div → select → sub
+    /// per sample and the mean in [`reduce_blocked4`] order. Backward
+    /// keeps no `z` slot: it recomputes `z_j` and reduces the weight
+    /// adjoints in [`reduce_fma_blocked4`] order and the bias adjoint in
+    /// [`reduce_blocked4`] order, so values and gradients are bit-identical
+    /// to that chain. Forward and backward run four samples per step.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `weights.len() != xs.len()`, the arity is outside `1..=3`,
+    /// a weight or the bias is a batch node, or a column is a broadcast
+    /// scalar or depends on a parameter (column adjoints are not formed).
+    pub fn pbqu_neuron(&mut self, weights: &[Var], xs: &[Var], bias: Var, c1: f64, c2: f64) -> Var {
+        assert_eq!(weights.len(), xs.len(), "pbqu_neuron arity mismatch");
+        assert!(
+            (1..=PBQU_MAX_TERMS).contains(&weights.len()),
+            "pbqu_neuron spans 1..={PBQU_MAX_TERMS} terms"
+        );
+        assert!(
+            weights.iter().chain([&bias]).all(|v| self.scalar[v.0]),
+            "pbqu_neuron weights and bias must be scalar nodes"
+        );
+        assert!(
+            xs.iter().all(|v| !self.scalar[v.0] && !self.requires_grad[v.0]),
+            "pbqu_neuron columns must be parameter-free batch nodes"
+        );
+        self.push(Op::PbquNeuron {
+            weights: weights.into(),
+            xs: xs.into(),
+            bias,
+            pbqu: Pbqu { c1sq: c1 * c1, c2sq: c2 * c2 },
+        })
     }
 
     /// Fused gated t-conorm factor `1 − gate·act` — bit-identical to the
@@ -403,53 +481,43 @@ impl Tape {
         }
         self.live.clear();
         self.live.resize(self.ops.len(), false);
-        let ops = &self.ops;
         let live = &mut self.live;
         live[output] = true;
         for i in (0..=output).rev() {
-            if !live[i] {
-                continue;
-            }
-            let mut mark = |v: &Var| live[v.0] = true;
-            match &ops[i] {
-                Op::Input(_) | Op::Param(_) | Op::Const(_) => {}
-                Op::Add(a, b) | Op::Sub(a, b) | Op::Mul(a, b) | Op::Div(a, b) => {
-                    mark(a);
-                    mark(b);
-                }
-                Op::Neg(a)
-                | Op::Exp(a)
-                | Op::Square(a)
-                | Op::Recip(a)
-                | Op::Clamp01(a)
-                | Op::SumBatch(a)
-                | Op::MeanBatch(a) => mark(a),
-                Op::SelectNonneg { cond, nonneg, neg } => {
-                    mark(cond);
-                    mark(nonneg);
-                    mark(neg);
-                }
-                Op::Affine { weights, xs, bias } => {
-                    weights.iter().chain(xs.iter()).chain(bias.iter()).for_each(mark);
-                }
-                Op::Gaussian { z, coeff } => {
-                    mark(z);
-                    mark(coeff);
-                }
-                Op::PbquLoss { z, .. } => mark(z),
-                Op::LitFactor { gate, act } => {
-                    mark(gate);
-                    mark(act);
-                }
-                Op::ClauseFactor { prod, gate } => {
-                    mark(prod);
-                    mark(gate);
-                }
+            if live[i] {
+                for_each_operand(&self.ops[i], |v| live[v.0] = true);
             }
         }
         self.live_root = output;
         self.touched.clear();
         self.touched.resize(self.ops.len(), false);
+    }
+
+    /// (Re)computes the gradient-only mask for `output`: every live node
+    /// whose value the backward pass reads — the operand values a
+    /// parameter-dependent node's adjoint rule uses — closed over forward
+    /// operands. One reverse sweep suffices because operands precede
+    /// their users.
+    fn ensure_needed(&mut self, output: usize) {
+        self.ensure_live(output);
+        if self.needed_root == output && self.needed.len() == self.ops.len() {
+            return;
+        }
+        self.needed.clear();
+        self.needed.resize(self.ops.len(), false);
+        let needed = &mut self.needed;
+        for i in (0..=output).rev() {
+            if !self.live[i] {
+                continue;
+            }
+            if self.requires_grad[i] {
+                for_each_backward_read(i, &self.ops[i], |v| needed[v.0] = true);
+            }
+            if needed[i] {
+                for_each_operand(&self.ops[i], |v| needed[v.0] = true);
+            }
+        }
+        self.needed_root = output;
     }
 
     /// Runs a forward pass, returning the scalar value of `output`.
@@ -465,13 +533,24 @@ impl Tape {
     /// Panics if input columns are missing/ragged, parameters are missing,
     /// or `output` does not hold exactly one value (reduce first).
     pub fn forward(&mut self, output: Var, inputs: &[Vec<f64>], params: &[f64]) -> f64 {
+        self.run_forward(output, inputs, params, false);
+        self.values[self.offsets[output.0]]
+    }
+
+    /// The forward sweep behind [`Tape::forward`] (every live node) and
+    /// [`Tape::grad_into`] (`grad_only`: only the nodes backward reads).
+    fn run_forward(&mut self, output: Var, inputs: &[Vec<f64>], params: &[f64], grad_only: bool) {
         assert!(inputs.len() >= self.num_inputs, "missing input columns");
         assert!(params.len() >= self.num_params, "missing parameters");
         assert!(output.0 < self.ops.len(), "output var from another tape");
         let batch = inputs.first().map_or(1, Vec::len);
         assert!(inputs.iter().all(|c| c.len() == batch), "ragged input columns");
         self.ensure_plan(batch);
-        self.ensure_live(output.0);
+        if grad_only {
+            self.ensure_needed(output.0);
+        } else {
+            self.ensure_live(output.0);
+        }
         assert_eq!(
             self.lens[output.0],
             1,
@@ -481,9 +560,9 @@ impl Tape {
         let ops = &self.ops;
         let offsets = &self.offsets;
         let lens = &self.lens;
-        let live = &self.live;
+        let mask = if grad_only { &self.needed } else { &self.live };
         for i in 0..=output.0 {
-            if !live[i] {
+            if !mask[i] {
                 continue;
             }
             let off = offsets[i];
@@ -515,14 +594,8 @@ impl Tape {
                     let v = slot(a);
                     out[0] = sum_blocked(v) / v.len() as f64;
                 }
-                Op::Affine { weights, xs, bias } => {
-                    // A broadcast bias is a plain fill: it vectorizes,
-                    // where a per-element `bget` does not.
-                    match bias.map(|b| slot(&b)) {
-                        Some(&[b0]) => out.fill(b0),
-                        Some(bv) => out.copy_from_slice(bv),
-                        None => out.fill(0.0),
-                    }
+                Op::Affine { weights, xs } => {
+                    out.fill(0.0);
                     for (w, x) in weights.iter().zip(xs.iter()) {
                         let wv = slot(w);
                         let xv = slot(x);
@@ -555,20 +628,11 @@ impl Tape {
                         }
                     }
                 }
-                Op::PbquLoss { z, c1sq, c2sq } => {
-                    // Per-element order mirrors the unfused
-                    // square → add → div → select → sub chain, and the
-                    // mean reduces in the crate's canonical blocked order
-                    // — bit-identical to the graph this op replaces.
-                    let zv = slot(z);
-                    let (c1sq, c2sq) = (*c1sq, *c2sq);
-                    let sum = reduce_blocked4(zv.len(), |j| {
-                        let zj = zv[j];
-                        let z2 = zj * zj;
-                        let act = if zj >= 0.0 { c2sq / (z2 + c2sq) } else { c1sq / (z2 + c1sq) };
-                        1.0 - act
+                Op::PbquNeuron { weights, xs, bias, pbqu } => {
+                    out[0] = with_arity!(weights.len(), K => {
+                        let (w, x, b) = neuron_operands::<K>(slot, weights, xs, bias);
+                        pbqu_neuron_loss(&w, &x, b, *pbqu)
                     });
-                    out[0] = sum / zv.len() as f64;
                 }
                 Op::LitFactor { gate, act } => {
                     let (gv, av) = (slot(gate), slot(act));
@@ -603,7 +667,7 @@ impl Tape {
             }
         }
         self.last_forward = Some(output.0);
-        self.values[self.offsets[output.0]]
+        self.last_grad_only = grad_only;
     }
 
     /// Runs a backward pass from `output` (after [`Tape::forward`]),
@@ -665,6 +729,22 @@ impl Tape {
                     }
                 }};
             }
+            // Applies an already-reduced adjoint to a scalar target with
+            // the same assign-on-first-touch rule as `acc!`.
+            macro_rules! put {
+                ($target:expr, $sum:expr) => {{
+                    let t: &Var = $target;
+                    if requires[t.0] {
+                        let dst = &mut gprev[offsets[t.0]];
+                        if touched[t.0] {
+                            *dst += $sum;
+                        } else {
+                            *dst = $sum;
+                        }
+                        touched[t.0] = true;
+                    }
+                }};
+            }
             match &ops[i] {
                 Op::Input(_) | Op::Const(_) => {}
                 Op::Param(idx) => param_grads[*idx] += g[0],
@@ -722,7 +802,7 @@ impl Tape {
                     let n = lens[a.0] as f64;
                     acc!(a, |_, g| g / n);
                 }
-                Op::Affine { weights, xs, bias } => {
+                Op::Affine { weights, xs } => {
                     // Scalar weights over batch operands — the hot G-CLN
                     // shape — reduce `∂w = Σ_j x_j·g_j` in the canonical
                     // FMA order, four weights per pass over the upstream
@@ -732,21 +812,6 @@ impl Tape {
                     let hot = |w: &Var, x: &Var| {
                         requires[w.0] && lens[w.0] == 1 && len > 1 && lens[x.0] == len
                     };
-                    // Applies one reduced weight adjoint with the same
-                    // assign-on-first-touch rule as `acc!`.
-                    macro_rules! put_w {
-                        ($w:expr, $sum:expr) => {{
-                            let w: &Var = $w;
-                            let fresh = !touched[w.0];
-                            let dst = &mut gprev[offsets[w.0]];
-                            if fresh {
-                                *dst = $sum;
-                            } else {
-                                *dst += $sum;
-                            }
-                            touched[w.0] = true;
-                        }};
-                    }
                     let mut p = 0;
                     while p < weights.len() {
                         let (w, x) = (&weights[p], &xs[p]);
@@ -774,7 +839,7 @@ impl Tape {
                             );
                             for (k, &sum) in sums.iter().enumerate() {
                                 let (w, x) = (&weights[p + k], &xs[p + k]);
-                                put_w!(w, sum);
+                                put!(w, sum);
                                 let wv = vslot(w);
                                 acc!(x, |j, g| g * bget(wv, j));
                             }
@@ -783,15 +848,12 @@ impl Tape {
                                 let (w, x) = (&weights[k], &xs[k]);
                                 let xv = vslot(x);
                                 let sum = reduce_fma_blocked4(len, |j| (g[j], xv[j]));
-                                put_w!(w, sum);
+                                put!(w, sum);
                                 let wv = vslot(w);
                                 acc!(x, |j, g| g * bget(wv, j));
                             }
                         }
                         p = q;
-                    }
-                    if let Some(b) = bias {
-                        acc!(b, |_, g| g);
                     }
                 }
                 Op::LitFactor { gate, act } => {
@@ -816,22 +878,21 @@ impl Tape {
                         g * out[j] * (z * z)
                     });
                 }
-                Op::PbquLoss { z, c1sq, c2sq } => {
-                    // The unfused chain's adjoints in the same operation
-                    // order (mean → sub → select → div → add → square),
-                    // so gradients match the replaced graph bit-for-bit.
-                    let zv = vslot(z);
-                    let n = lens[z.0] as f64;
-                    let (c1sq, c2sq) = (*c1sq, *c2sq);
-                    acc!(z, |j, g| {
-                        let zj = bget(zv, j);
-                        let z2 = zj * zj;
-                        let g_act = -(g / n);
-                        let k = if zj >= 0.0 { c2sq } else { c1sq };
-                        let d = z2 + k;
-                        let g_d = -g_act * k / (d * d);
-                        2.0 * g_d * zj
+                Op::PbquNeuron { weights, xs, bias, pbqu } => {
+                    // `∂loss/∂act_j = −(g/B)`; the chain's `div` adjoint
+                    // negates it back, so `g/B` is what reaches `z_j`.
+                    let g_mean = g[0] / lens[xs[0].0] as f64;
+                    let mut dw = [0.0; PBQU_MAX_TERMS];
+                    let db = with_arity!(weights.len(), K => {
+                        let (w, x, b) = neuron_operands::<K>(vslot, weights, xs, bias);
+                        let (gw, gb) = pbqu_neuron_grad(&w, &x, b, *pbqu, g_mean);
+                        dw[..K].copy_from_slice(&gw);
+                        gb
                     });
+                    for (w, &d) in weights.iter().zip(&dw) {
+                        put!(w, d);
+                    }
+                    put!(bias, db);
                 }
             }
         }
@@ -864,19 +925,46 @@ impl Tape {
         v
     }
 
+    /// Gradient-only evaluation: writes the same `∂output/∂paramᵢ` as
+    /// [`Tape::eval_with_grad_into`], bit for bit, but its forward pass
+    /// computes only the nodes whose values some backward step reads
+    /// (closed over their forward operands), so the output value is not
+    /// formed. For callers that never read the loss — PBQU bounds
+    /// training, whose [`Tape::pbqu_neuron`] nodes recompute their
+    /// pre-activations in backward and so skip forward entirely.
+    ///
+    /// After this call [`Tape::value_of`] panics for every node the
+    /// gradient-only forward skipped.
+    ///
+    /// # Panics
+    ///
+    /// As [`Tape::forward`] and [`Tape::backward_into`].
+    pub fn grad_into(
+        &mut self,
+        output: Var,
+        inputs: &[Vec<f64>],
+        params: &[f64],
+        param_grads: &mut [f64],
+    ) {
+        self.run_forward(output, inputs, params, true);
+        self.backward_into(output, param_grads);
+    }
+
     /// Reads the forward value of any node after [`Tape::forward`].
     ///
     /// # Panics
     ///
-    /// Panics if `forward` has not been run, or if the node was dead for
-    /// the last forward output (the liveness pre-pass skipped it).
+    /// Panics if no forward pass has run, or if the last one skipped the
+    /// node: dead for its output, or — after [`Tape::grad_into`] — not
+    /// read by the backward pass.
     pub fn value_of(&self, v: Var) -> &[f64] {
         assert!(self.last_forward.is_some(), "call forward before value_of");
-        assert!(
-            v.0 < self.live.len() && self.live[v.0],
-            "node {} was not live for the last forward output",
-            v.0
-        );
+        let (mask, what) = if self.last_grad_only {
+            (&self.needed, "computed by the last gradient-only pass")
+        } else {
+            (&self.live, "live for the last forward output")
+        };
+        assert!(v.0 < mask.len() && mask[v.0], "node {} was not {what}", v.0);
         &self.values[self.offsets[v.0]..self.offsets[v.0] + self.lens[v.0]]
     }
 
@@ -918,17 +1006,16 @@ impl Tape {
                 Op::Clamp01(a) => v(a).iter().map(|x| x.clamp(0.0, 1.0)).collect(),
                 Op::SumBatch(a) => vec![sum_blocked(v(a))],
                 Op::MeanBatch(a) => vec![sum_blocked(v(a)) / v(a).len() as f64],
-                Op::Affine { weights, xs, bias } => {
+                Op::Affine { weights, xs } => {
                     let len = weights
                         .iter()
                         .chain(xs.iter())
-                        .chain(bias.iter())
                         .map(|n| values[n.0].len())
                         .max()
                         .unwrap_or(1);
                     (0..len)
                         .map(|j| {
-                            let mut acc = bias.as_ref().map_or(0.0, |b| bget(&values[b.0], j));
+                            let mut acc = 0.0;
                             for (w, x) in weights.iter().zip(xs.iter()) {
                                 acc = fma64(bget(&values[w.0], j), bget(&values[x.0], j), acc);
                             }
@@ -946,16 +1033,16 @@ impl Tape {
                         })
                         .collect()
                 }
-                Op::PbquLoss { z, c1sq, c2sq } => {
-                    let zv = v(z);
-                    let sum = reduce_blocked4(zv.len(), |j| {
-                        let zj = zv[j];
+                Op::PbquNeuron { weights, xs, bias, pbqu: Pbqu { c1sq, c2sq } } => {
+                    let z = reference_pbqu_z(&values, weights, xs, bias);
+                    let sum = reduce_blocked4(z.len(), |j| {
+                        let zj = z[j];
                         let z2 = zj * zj;
                         let act =
                             if zj >= 0.0 { c2sq / (z2 + c2sq) } else { c1sq / (z2 + c1sq) };
                         1.0 - act
                     });
-                    vec![sum / zv.len() as f64]
+                    vec![sum / z.len() as f64]
                 }
                 Op::LitFactor { gate, act } => {
                     let (gv, av) = (v(gate), v(act));
@@ -1058,7 +1145,7 @@ impl Tape {
                     let n = values[a.0].len() as f64;
                     acc(a, &|_, g| g / n);
                 }
-                Op::Affine { weights, xs, bias } => {
+                Op::Affine { weights, xs } => {
                     // NOTE: the arena engine reduces scalar-weight adjoints
                     // with `reduce_fma_blocked4`; this oracle keeps the
                     // plain product form. The ≤1-ulp-per-step difference is
@@ -1067,9 +1154,6 @@ impl Tape {
                         let (wv, xv) = (values[w.0].clone(), values[x.0].clone());
                         acc(w, &|j, g| g * bget(&xv, j));
                         acc(x, &|j, g| g * bget(&wv, j));
-                    }
-                    if let Some(b) = bias {
-                        acc(b, &|_, g| g);
                     }
                 }
                 Op::LitFactor { gate, act } => {
@@ -1094,24 +1178,243 @@ impl Tape {
                         g * bget(&out, j) * (z * z)
                     });
                 }
-                Op::PbquLoss { z, c1sq, c2sq } => {
-                    let zv = values[z.0].clone();
-                    let n = zv.len() as f64;
-                    let (c1sq, c2sq) = (*c1sq, *c2sq);
-                    acc(z, &|j, g| {
-                        let zj = bget(&zv, j);
-                        let z2 = zj * zj;
-                        let g_act = -(g / n);
-                        let k = if zj >= 0.0 { c2sq } else { c1sq };
-                        let d = z2 + k;
-                        let g_d = -g_act * k / (d * d);
-                        2.0 * g_d * zj
-                    });
+                Op::PbquNeuron { weights, xs, bias, pbqu: Pbqu { c1sq, c2sq } } => {
+                    // The unfused chain's adjoints per sample
+                    // (mean → sub → select → div → add → square), then
+                    // plain sequential sums (the arena engine's blocked
+                    // orders differ by far less than the oracle's
+                    // tolerance).
+                    let z = reference_pbqu_z(&values, weights, xs, bias);
+                    let n = z.len() as f64;
+                    let g_act = -(grad[0] / n);
+                    let dz: Vec<f64> = z
+                        .iter()
+                        .map(|&zj| {
+                            let k = if zj >= 0.0 { *c2sq } else { *c1sq };
+                            let d = zj * zj + k;
+                            let g_d = -g_act * k / (d * d);
+                            2.0 * g_d * zj
+                        })
+                        .collect();
+                    for (w, x) in weights.iter().zip(xs.iter()) {
+                        let dw: f64 = dz.iter().zip(&values[x.0]).map(|(d, x)| d * x).sum();
+                        acc(w, &|_, _| dw);
+                    }
+                    let db: f64 = dz.iter().sum();
+                    acc(bias, &|_, _| db);
                 }
             }
         }
         (result, param_grads)
     }
+}
+
+/// Calls `f` on every forward operand of `op`.
+fn for_each_operand(op: &Op, mut f: impl FnMut(&Var)) {
+    match op {
+        Op::Input(_) | Op::Param(_) | Op::Const(_) => {}
+        Op::Add(a, b) | Op::Sub(a, b) | Op::Mul(a, b) | Op::Div(a, b) => {
+            f(a);
+            f(b);
+        }
+        Op::Neg(a)
+        | Op::Exp(a)
+        | Op::Square(a)
+        | Op::Recip(a)
+        | Op::Clamp01(a)
+        | Op::SumBatch(a)
+        | Op::MeanBatch(a) => f(a),
+        Op::SelectNonneg { cond, nonneg, neg } => {
+            f(cond);
+            f(nonneg);
+            f(neg);
+        }
+        Op::Affine { weights, xs } => weights.iter().chain(xs.iter()).for_each(f),
+        Op::PbquNeuron { weights, xs, bias, .. } => {
+            weights.iter().chain(xs.iter()).chain([bias]).for_each(f)
+        }
+        Op::Gaussian { z: a, coeff: b }
+        | Op::LitFactor { gate: a, act: b }
+        | Op::ClauseFactor { prod: a, gate: b } => {
+            f(a);
+            f(b);
+        }
+    }
+}
+
+/// Calls `f` on every node whose forward value the backward rule of node
+/// `i` (holding `op`) reads — `Var(i)` itself for rules that reuse their
+/// own output. Adjoint-only rules (`add`, `sub`, `neg`, reductions) read
+/// none.
+fn for_each_backward_read(i: usize, op: &Op, mut f: impl FnMut(&Var)) {
+    match op {
+        Op::Input(_)
+        | Op::Param(_)
+        | Op::Const(_)
+        | Op::Add(..)
+        | Op::Sub(..)
+        | Op::Neg(_)
+        | Op::SumBatch(_)
+        | Op::MeanBatch(_) => {}
+        Op::Exp(_) => f(&Var(i)),
+        Op::Gaussian { z, coeff } => {
+            f(&Var(i));
+            f(z);
+            f(coeff);
+        }
+        Op::SelectNonneg { cond, .. } => f(cond),
+        Op::Square(a) | Op::Recip(a) | Op::Clamp01(a) => f(a),
+        Op::Mul(..)
+        | Op::Div(..)
+        | Op::Affine { .. }
+        | Op::PbquNeuron { .. }
+        | Op::LitFactor { .. }
+        | Op::ClauseFactor { .. } => for_each_operand(op, f),
+    }
+}
+
+/// PBQU activation constants `c1²` (below the boundary) and `c2²`
+/// (above it).
+#[derive(Clone, Copy, Debug)]
+struct Pbqu {
+    c1sq: f64,
+    c2sq: f64,
+}
+
+impl Pbqu {
+    /// `1 − act(z)`, as the unfused square → add → div → select → sub
+    /// chain computes it (the chain forms both quotients and keeps one;
+    /// forming only the kept one gives the same bits).
+    #[inline(always)]
+    fn dissat(self, z: f64) -> f64 {
+        let k = if z >= 0.0 { self.c2sq } else { self.c1sq };
+        1.0 - k / (z * z + k)
+    }
+
+    /// `∂loss/∂z` for the upstream `g_mean = g/B`: the chain's `div`
+    /// adjoint `(g/B)·c²/(z²+c²)²` times the `square` rule `2·(·)·z`, in
+    /// the chain's operation order.
+    #[inline(always)]
+    fn dz(self, z: f64, g_mean: f64) -> f64 {
+        let k = if z >= 0.0 { self.c2sq } else { self.c1sq };
+        let d = z * z + k;
+        2.0 * (g_mean * k / (d * d)) * z
+    }
+}
+
+/// A neuron's weights, columns and bias read from their arena slots.
+#[inline(always)]
+fn neuron_operands<'a, const K: usize>(
+    slot: impl Fn(&Var) -> &'a [f64],
+    weights: &[Var],
+    xs: &[Var],
+    bias: &Var,
+) -> ([f64; K], [&'a [f64]; K], f64) {
+    (
+        std::array::from_fn(|i| slot(&weights[i])[0]),
+        std::array::from_fn(|i| slot(&xs[i])),
+        slot(bias)[0],
+    )
+}
+
+/// Samples `j..j + 4` of every column, as fixed-size lane blocks.
+#[inline(always)]
+fn lanes4<'a, const K: usize>(xs: &[&'a [f64]; K], j: usize) -> [&'a [f64; 4]; K] {
+    std::array::from_fn(|i| xs[i][j..j + 4].try_into().expect("four lanes"))
+}
+
+/// `z = b + Σᵢ wᵢ·xᵢ` for four samples: FMAs from the bias, in weight
+/// order.
+#[inline(always)]
+fn pbqu_z4<const K: usize>(w: &[f64; K], b: f64, x: &[&[f64; 4]; K]) -> [f64; 4] {
+    let mut z = [b; 4];
+    for i in 0..K {
+        for l in 0..4 {
+            z[l] = fma64(w[i], x[i][l], z[l]);
+        }
+    }
+    z
+}
+
+/// [`pbqu_z4`] for one sample `j`.
+#[inline(always)]
+fn pbqu_z1<const K: usize>(w: &[f64; K], b: f64, xs: &[&[f64]; K], j: usize) -> f64 {
+    (0..K).fold(b, |z, i| fma64(w[i], xs[i][j], z))
+}
+
+/// Forward of [`Op::PbquNeuron`]: `mean_j(1 − act(z_j))`, summed in
+/// [`reduce_blocked4`] order. Four samples per step, so the divisions
+/// and FMAs compile to packed SIMD.
+fn pbqu_neuron_loss<const K: usize>(w: &[f64; K], xs: &[&[f64]; K], b: f64, pbqu: Pbqu) -> f64 {
+    let n = xs[0].len();
+    let mut acc = [0.0f64; 4];
+    let mut j = 0;
+    while j + 4 <= n {
+        let z = pbqu_z4(w, b, &lanes4(xs, j));
+        for l in 0..4 {
+            acc[l] += pbqu.dissat(z[l]);
+        }
+        j += 4;
+    }
+    let mut tail = 0.0;
+    for j in j..n {
+        tail += pbqu.dissat(pbqu_z1(w, b, xs, j));
+    }
+    combine_blocked4(acc, tail) / n as f64
+}
+
+/// Backward of [`Op::PbquNeuron`] in one pass over the samples:
+/// recomputes `z_j`, forms `∂loss/∂z_j`, and reduces the weight adjoints
+/// `Σ_j ∂z_j·x_ij` in [`reduce_fma_blocked4`] order and the bias adjoint
+/// `Σ_j ∂z_j` in [`reduce_blocked4`] order.
+fn pbqu_neuron_grad<const K: usize>(
+    w: &[f64; K],
+    xs: &[&[f64]; K],
+    b: f64,
+    pbqu: Pbqu,
+    g_mean: f64,
+) -> ([f64; K], f64) {
+    let n = xs[0].len();
+    let mut acc_w = [[0.0f64; 4]; K];
+    let mut acc_b = [0.0f64; 4];
+    let mut j = 0;
+    while j + 4 <= n {
+        let x = lanes4(xs, j);
+        let z = pbqu_z4(w, b, &x);
+        let dz = z.map(|z| pbqu.dz(z, g_mean));
+        for i in 0..K {
+            for l in 0..4 {
+                acc_w[i][l] = fma64(dz[l], x[i][l], acc_w[i][l]);
+            }
+        }
+        for l in 0..4 {
+            acc_b[l] += dz[l];
+        }
+        j += 4;
+    }
+    let mut tail_w = [0.0f64; K];
+    let mut tail_b = 0.0;
+    for j in j..n {
+        let dz = pbqu.dz(pbqu_z1(w, b, xs, j), g_mean);
+        for i in 0..K {
+            tail_w[i] = fma64(dz, xs[i][j], tail_w[i]);
+        }
+        tail_b += dz;
+    }
+    let dw = std::array::from_fn(|i| combine_blocked4(acc_w[i], tail_w[i]));
+    (dw, combine_blocked4(acc_b, tail_b))
+}
+
+/// The reference interpreter's per-sample `z_j = b + Σᵢ wᵢ·x_ij`.
+fn reference_pbqu_z(values: &[Vec<f64>], weights: &[Var], xs: &[Var], bias: &Var) -> Vec<f64> {
+    (0..values[xs[0].0].len())
+        .map(|j| {
+            weights
+                .iter()
+                .zip(xs.iter())
+                .fold(values[bias.0][0], |z, (w, x)| fma64(values[w.0][0], values[x.0][j], z))
+        })
+        .collect()
 }
 
 /// `arena[offsets[v]..][..lens[v]]` — a node's slot within an arena
@@ -1337,18 +1640,20 @@ mod tests {
         let xs: Vec<Var> = (0..3).map(|i| t.input(i)).collect();
         let ws: Vec<Var> = (0..3).map(|i| t.param(i)).collect();
         let b = t.param(3);
-        let aff = t.affine(&ws, &xs, Some(b));
-        let out = t.sum_batch(aff);
+        let aff = t.affine(&ws, &xs);
+        let biased = t.add(aff, b);
+        let out = t.sum_batch(biased);
         let inputs = vec![vec![1.0], vec![2.0], vec![3.0]];
         let v = t.forward(out, &inputs, &[10.0, 20.0, 30.0, 5.0]);
         assert_eq!(v, 10.0 + 40.0 + 90.0 + 5.0);
-        // A batch bias adds per sample.
-        let bias = t.input(3);
-        let aff = t.affine(&ws, &xs, Some(bias));
-        let out = t.sum_batch(aff);
-        let inputs = vec![vec![1.0, 0.0], vec![2.0, 0.0], vec![3.0, 1.0], vec![5.0, 7.0]];
+        // Over a batch, every sample gets its own dot product.
+        let inputs = vec![vec![1.0, 0.0], vec![2.0, 0.0], vec![3.0, 1.0]];
         let v = t.forward(out, &inputs, &[10.0, 20.0, 30.0, 5.0]);
-        assert_eq!(v, (10.0 + 40.0 + 90.0 + 5.0) + (30.0 + 7.0));
+        assert_eq!(v, (10.0 + 40.0 + 90.0 + 5.0) + (30.0 + 5.0));
+        // No terms: the constant 0.
+        let empty = t.affine(&[], &[]);
+        let out = t.sum_batch(empty);
+        assert_eq!(t.forward(out, &inputs, &[10.0, 20.0, 30.0, 5.0]), 0.0);
     }
 
     #[test]
@@ -1357,7 +1662,7 @@ mod tests {
         let xs: Vec<Var> = (0..4).map(|i| t.input(i)).collect();
         let ws: Vec<Var> = (0..4).map(|i| t.param(i)).collect();
         let before = t.len();
-        let _ = t.affine(&ws, &xs, None);
+        let _ = t.affine(&ws, &xs);
         assert_eq!(t.len(), before + 1, "fused affine must record exactly one node");
     }
 
@@ -1370,7 +1675,8 @@ mod tests {
         let xs: Vec<Var> = (0..2).map(|i| t1.input(i)).collect();
         let ws: Vec<Var> = (0..2).map(|i| t1.param(i)).collect();
         let b = t1.param(2);
-        let aff = t1.affine(&ws, &xs, Some(b));
+        let dot = t1.affine(&ws, &xs);
+        let aff = t1.add(dot, b);
         let sq = t1.square(aff);
         let out = t1.sum_batch(sq);
         let (v1, g1) = t1.eval_with_grad(out, &inputs, &params);
@@ -1474,6 +1780,72 @@ mod tests {
     }
 
     #[test]
+    fn value_of_panics_for_every_node_grad_into_skipped() {
+        // Two PBQU neurons over their own slots, joined by `add`: the
+        // shape bounds training records per candidate subset.
+        let mut t = Tape::new();
+        let xs = [t.input(0), t.input(1)];
+        let neurons: Vec<Var> = (0..2)
+            .map(|l| {
+                let ws = [t.param(3 * l), t.param(3 * l + 1)];
+                let b = t.param(3 * l + 2);
+                t.pbqu_neuron(&ws, &xs, b, 1.0, 50.0)
+            })
+            .collect();
+        let total = t.add(neurons[0], neurons[1]);
+        let inputs = vec![vec![0.5, -1.0, 2.0, 4.0, -0.25], vec![1.0, 3.0, -2.0, 0.5, 2.0]];
+        let params = [0.7, -0.4, 0.9, -0.6, 0.3, 0.2];
+        // A full pass first, so every slot holds a (soon stale) value.
+        let mut full = [0.0; 6];
+        t.eval_with_grad_into(total, &inputs, &params, &mut full);
+        assert!(t.value_of(neurons[0])[0].is_finite());
+        let mut only = [f64::NAN; 6];
+        t.grad_into(total, &inputs, &params, &mut only);
+        for (a, b) in full.iter().zip(&only) {
+            assert_eq!(a.to_bits(), b.to_bits(), "{full:?} vs {only:?}");
+        }
+        // Backward reads the columns and parameters, never a neuron's
+        // value: the two neurons and the `add` root are skipped.
+        assert_eq!(t.value_of(Var(0)), &inputs[0][..]);
+        let skipped: Vec<usize> = (0..t.len()).filter(|&i| !t.needed[i]).collect();
+        assert_eq!(skipped, vec![neurons[0].0, neurons[1].0, total.0]);
+        for i in skipped {
+            let t = &t;
+            let read = std::panic::catch_unwind(|| t.value_of(Var(i)).to_vec());
+            assert!(read.is_err(), "value_of(node {i}) returned a stale value");
+        }
+    }
+
+    #[test]
+    fn grad_into_computes_values_backward_reads() {
+        // Only `exp`'s own backward reads its output, so the gradient-only
+        // forward must compute it — and `w·x` beneath it — but not the sum.
+        let mut t = Tape::new();
+        let x = t.input(0);
+        let w = t.param(0);
+        let wx = t.mul(w, x);
+        let e = t.exp(wx);
+        let out = t.sum_batch(e);
+        let inputs = vec![vec![0.5, -1.0, 2.0]];
+        let (_, want) = t.eval_with_grad(out, &inputs, &[0.3]);
+        let mut got = [0.0];
+        t.grad_into(out, &inputs, &[0.3], &mut got);
+        assert_eq!(want[0].to_bits(), got[0].to_bits());
+        assert!(t.needed[e.0] && t.needed[wx.0] && !t.needed[out.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "parameter-free batch")]
+    fn pbqu_neuron_rejects_parameter_dependent_columns() {
+        let mut t = Tape::new();
+        let x = t.input(0);
+        let w = t.param(0);
+        let wx = t.mul(w, x);
+        let b = t.param(1);
+        let _ = t.pbqu_neuron(&[w], &[wx], b, 1.0, 50.0);
+    }
+
+    #[test]
     #[should_panic(expected = "output must be a scalar")]
     fn non_scalar_output_panics() {
         let mut t = Tape::new();
@@ -1569,7 +1941,7 @@ mod tests {
                         p
                     })
                     .collect();
-                let z = t.affine(&ws, &xs, None);
+                let z = t.affine(&ws, &xs);
                 let act = t.gaussian(z, coeff);
                 let gate = t.param(pidx);
                 pidx += 1;

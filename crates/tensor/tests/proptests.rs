@@ -16,8 +16,12 @@ enum Step {
     Square(usize),
     ExpNeg(usize),
     DivSafe(usize, usize),
-    /// Fused `w₀·a + w₁·b (+ bias)` over existing nodes.
+    /// Fused `w₀·a + w₁·b` over existing nodes, optionally followed by
+    /// an `add` of a constant bias.
     Affine(usize, usize, bool),
+    /// Fused PBQU neuron over the input column (twice), weights `p0, p1`
+    /// and bias `p0`; its scalar output then broadcasts.
+    PbquNeuron,
     /// Fused `exp(−z²·k)` with a fixed small positive curvature.
     Gaussian(usize),
     /// Fused literal factor `1 − gate·act`.
@@ -39,6 +43,7 @@ fn steps(n: usize) -> impl Strategy<Value = Vec<Step>> {
             (0..n).prop_map(Step::Gaussian),
             (0..n, 0..n).prop_map(|(a, b)| Step::LitFactor(a, b)),
             (0..n, 0..n).prop_map(|(a, b)| Step::ClauseFactor(a, b)),
+            Just(Step::PbquNeuron),
         ],
         1..8,
     )
@@ -90,8 +95,16 @@ fn build(tape: &mut Tape, ops: &[Step], first_param: usize) -> Var {
             Step::Affine(a, b, bias) => {
                 let (a, b) = (pick(a), pick(b));
                 let ws = [nodes[1], nodes[2]]; // p0, p1 as weights
-                let bias = bias.then_some(nodes[3]); // const 0.5
-                tape.affine(&ws, &[a, b], bias)
+                let z = tape.affine(&ws, &[a, b]);
+                if bias {
+                    tape.add(z, nodes[3]) // const 0.5
+                } else {
+                    z
+                }
+            }
+            Step::PbquNeuron => {
+                let ws = [nodes[1], nodes[2]];
+                tape.pbqu_neuron(&ws, &[nodes[0], nodes[0]], nodes[1], 1.0, 50.0)
             }
             Step::Gaussian(a) => {
                 // exp(-z^2 * 0.35): bounded, smooth.
@@ -221,6 +234,35 @@ proptest! {
                     "grad copy {}/{}: shared {} vs one-copy {}", c, copies, a, b
                 );
             }
+        }
+    }
+
+    /// Gradient-only evaluation writes exactly the gradients of a full
+    /// forward + backward, bit for bit, on arbitrary graphs — including
+    /// nodes whose backward reuses their own output (`exp`, `gaussian`)
+    /// and PBQU neurons, whose forward it skips.
+    #[test]
+    fn grad_into_matches_eval_with_grad_into_bitwise(
+        ops in steps(16),
+        p0 in -1.5f64..1.5,
+        p1 in -1.5f64..1.5,
+        xs in proptest::collection::vec(-2.0f64..2.0, 1..12),
+    ) {
+        let cols = std::slice::from_ref(&xs);
+        let mut full = Tape::new();
+        let out = build(&mut full, &ops, 0);
+        let mut want = [0.0; 2];
+        full.eval_with_grad_into(out, cols, &[p0, p1], &mut want);
+        // A fresh tape, so no value a full pass left behind can be read.
+        let mut only = Tape::new();
+        let out = build(&mut only, &ops, 0);
+        let mut got = [f64::NAN; 2];
+        only.grad_into(out, cols, &[p0, p1], &mut got);
+        for (a, b) in want.iter().zip(&got) {
+            prop_assert_eq!(
+                a.to_bits(), b.to_bits(),
+                "grad_into {:?} vs eval_with_grad_into {:?}", got, want
+            );
         }
     }
 

@@ -6,11 +6,13 @@
 //! `gcln suite nla|linear` (generic suite runs), `gcln fig <n>` (figure
 //! data series), `gcln run <file.loop>` (arbitrary programs through the
 //! staged engine), and `gcln inspect` (single-problem diagnostics).
-//! Criterion benches live in `benches/`; `profile_ps2` is a separate
-//! stage-timing binary.
+//! Criterion benches live in `benches/`. Per-stage timing of one
+//! problem comes from `gcln run <name> --json`: every `stage_finished`
+//! event carries its `ms`.
 //!
-//! The [`driver`] module owns the shared suite machinery (rayon
-//! fan-out, completion-order progress, tallying, JSON records); this
+//! The [`driver`] module owns the shared suite machinery (the
+//! `gcln-sched` worker pool, completion-order progress, tallying, JSON
+//! records); this
 //! root holds the shared "solved" criterion: a problem counts as solved
 //! when the pipeline's invariant (a) passes the checker and (b) implies
 //! the documented ground truth — equalities symbolically via Gröbner

@@ -5,10 +5,10 @@
 //! see EXPERIMENTS.md "Mixed-workload scheduling"):
 //!
 //! 1. **Measured wall clock** — the real batch through the real
-//!    [`Scheduler`] at both granularities. On multi-core hardware this
-//!    shows the utilization win directly; on a single-core CI container
-//!    the two collapse toward parity (every CPU-bound schedule costs
-//!    total-work there), which is why measurement alone is not enough.
+//!    [`gcln_sched::Scheduler`], which schedules stage tasks only; job
+//!    granularity is measured by the replay below. On a single-core CI
+//!    container every CPU-bound schedule costs total work, which is why
+//!    measurement alone is not enough.
 //! 2. **Makespan replay** — each job is profiled once (solo, serial,
 //!    uncontended) to get its true per-task durations and barrier
 //!    structure, then a deterministic discrete-event replay of the

@@ -235,8 +235,8 @@ impl InferenceOutcome {
 }
 
 /// The staged inference engine. The handle owns shared state that
-/// spans jobs: today an optional [`TraceCache`] (see [`crate::cache`]),
-/// tomorrow worker pools and batch scheduling.
+/// spans jobs: an optional [`TraceCache`](crate::cache::TraceCache)
+/// (see [`crate::cache`]). Scheduling many jobs is `gcln-sched`'s.
 #[derive(Clone, Debug, Default)]
 pub struct Engine {
     trace_cache: Option<Arc<crate::cache::TraceCache>>,

@@ -10,10 +10,9 @@
 //!
 //! ## Architecture
 //!
-//! Each submitted [`Job`] is unfolded into a
-//! [`StagedJob`](gcln_engine::StagedJob) — the engine's stage-graph
-//! state machine. The scheduler keeps one ready queue per job plus a
-//! priority-ordered ring of jobs with ready tasks:
+//! Each submitted [`Job`] is unfolded into a [`StagedJob`] — the
+//! engine's stage-graph state machine. The scheduler keeps one ready
+//! queue per job plus a priority-ordered ring of jobs with ready tasks:
 //!
 //! ```text
 //!   submit ─▶ StagedJob ─ advance() ─▶ [task, task, …] ─▶ per-job queue
@@ -80,7 +79,7 @@ use metrics::{Metrics, MetricsSnapshot};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -132,25 +131,11 @@ impl SchedConfig {
     }
 }
 
-/// Scheduling granularity for one submission.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Granularity {
-    /// Stage-task granularity (the point of this crate).
-    #[default]
-    Stage,
-    /// The whole job as one task on one worker — the legacy
-    /// rayon-per-problem behavior, kept as the benchmark baseline and
-    /// for apples-to-apples comparisons.
-    WholeJob,
-}
-
 /// Per-submission options.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SubmitOptions {
     /// Higher runs first; jobs of equal priority round-robin.
     pub priority: i32,
-    /// Stage-task (default) or whole-job scheduling.
-    pub granularity: Granularity,
     /// Circuit-breaker key — typically the spec's content hash, so
     /// resubmissions of the same poisoned spec trip the breaker
     /// together. `None` opts the job out of quarantine tracking.
@@ -199,7 +184,7 @@ pub struct JobStats {
     /// jobs' interleaved tasks (unlike `InferenceOutcome::runtime`,
     /// which spans first dispatch to completion).
     pub busy: std::time::Duration,
-    /// Tasks executed for this job (1 for whole-job granularity).
+    /// Stage tasks executed for this job.
     pub tasks: u64,
 }
 
@@ -210,8 +195,6 @@ enum WorkItem {
     Start(Instant),
     /// Execute one stage task.
     Stage(Task, Instant),
-    /// Run the whole job inline ([`Granularity::WholeJob`]).
-    Whole(Instant),
 }
 
 #[derive(Default)]
@@ -408,10 +391,10 @@ impl Scheduler {
     }
 
     /// Submits a job. `sink` receives the job's [`JobEvent`]s in order;
-    /// `on_done` fires once when the outcome is ready. Jobs submitted
-    /// after [`Scheduler::shutdown`] began are still executed (shutdown
-    /// drains everything admitted); gate admission externally if you
-    /// need to refuse work.
+    /// `on_done` fires once when the outcome is ready. A job submitted
+    /// after [`Scheduler::shutdown`] began runs no task: its ticket
+    /// resolves at once with `stopped: cancelled` (the workers that
+    /// would run it are gone).
     pub fn submit_with(
         &self,
         job: Job,
@@ -421,10 +404,6 @@ impl Scheduler {
     ) -> JobTicket {
         let id = self.shared.next_id.fetch_add(1, Ordering::Relaxed);
         let cancel = job.cancel_token();
-        let item = match opts.granularity {
-            Granularity::Stage => WorkItem::Start(Instant::now()),
-            Granularity::WholeJob => WorkItem::Whole(Instant::now()),
-        };
         let run = Arc::new(JobRun {
             id,
             priority: opts.priority,
@@ -446,38 +425,30 @@ impl Scheduler {
         });
         self.shared.metrics.job_submitted();
         // Circuit breaker: a spec whose jobs keep dying panicking fails
-        // fast — the ticket resolves immediately with a structured
-        // `quarantined` outcome and no task ever runs.
-        if let Some(key) = opts.fault_key {
-            if self.shared.breaker.is_open(key, self.shared.cfg.quarantine_threshold) {
-                self.shared.metrics.job_quarantined();
-                let mut inner = run.inner.lock().unwrap();
-                inner.pending = None;
-                let events = vec![
-                    Event::JobStopped { reason: StopReason::Quarantined },
-                    Event::JobFinished { valid: false, cegis_rounds: 0, ms: 0.0 },
-                ];
-                for event in events.clone() {
-                    emit(&run, &mut inner, event);
-                }
-                let outcome = InferenceOutcome {
-                    loops: Vec::new(),
-                    valid: false,
-                    cegis_rounds_used: 0,
-                    runtime: Duration::ZERO,
-                    report: CheckReport::default(),
-                    stopped: Some(StopReason::Quarantined),
-                    events,
-                };
-                store_outcome(&self.shared, &run, &mut inner, outcome);
-                drop(inner);
-                return JobTicket { job: run };
+        // fast with a structured `quarantined` outcome.
+        let stopped = if opts.fault_key.is_some_and(|key| {
+            self.shared.breaker.is_open(key, self.shared.cfg.quarantine_threshold)
+        }) {
+            self.shared.metrics.job_quarantined();
+            Some(StopReason::Quarantined)
+        } else {
+            let mut st = self.shared.state.lock().unwrap();
+            if st.shutdown {
+                Some(StopReason::Cancelled)
+            } else {
+                st.jobs.insert(id, run.clone());
+                let start = WorkItem::Start(Instant::now());
+                enqueue(&self.shared, &mut st, id, run.priority, vec![start]);
+                None
             }
+        };
+        if let Some(reason) = stopped {
+            // No task ever runs: the ticket resolves before it is returned.
+            let mut inner = run.inner.lock().unwrap();
+            inner.pending = None;
+            let outcome = stopped_outcome(&run, &mut inner, reason);
+            store_outcome(&self.shared, &run, &mut inner, outcome);
         }
-        let mut st = self.shared.state.lock().unwrap();
-        st.jobs.insert(id, run.clone());
-        enqueue(&self.shared, &mut st, id, run.priority, vec![item]);
-        drop(st);
         JobTicket { job: run }
     }
 
@@ -635,59 +606,6 @@ fn worker_loop(shared: &Arc<Shared>) {
                 advance_and_dispatch(shared, &job, &mut inner);
             }
             WorkItem::Stage(task, enqueued) => run_stage_task(shared, &job, task, enqueued),
-            WorkItem::Whole(enqueued) => {
-                shared.metrics.observe_queue_wait(enqueued.elapsed());
-                let spec = job.inner.lock().unwrap().pending.take().expect("pending job");
-                let slot = rayon::reserve_external_worker();
-                let t0 = Instant::now();
-                // `run_with_events` already isolates stage-task panics
-                // (returning a `task_panicked` partial outcome); this
-                // guard catches panics in the driver itself, so a bug
-                // there still resolves the ticket instead of killing
-                // the worker.
-                let result = catch_unwind(AssertUnwindSafe(|| {
-                    shared.engine.run_with_events(&spec, &mut |event| {
-                        let mut inner = job.inner.lock().unwrap();
-                        emit(&job, &mut inner, event.clone());
-                    })
-                }));
-                drop(slot);
-                let took = t0.elapsed();
-                shared.metrics.observe_task("whole", took);
-                let mut inner = job.inner.lock().unwrap();
-                inner.stats.busy += took;
-                inner.stats.tasks += 1;
-                let outcome = match result {
-                    Ok(outcome) => {
-                        if outcome.stopped == Some(StopReason::TaskPanicked) {
-                            shared.metrics.task_panicked();
-                            shared.breaker.record_panic(job.fault_key);
-                        }
-                        outcome
-                    }
-                    Err(_) => {
-                        shared.metrics.task_panicked();
-                        shared.breaker.record_panic(job.fault_key);
-                        let events = vec![
-                            Event::JobStopped { reason: StopReason::TaskPanicked },
-                            Event::JobFinished { valid: false, cegis_rounds: 0, ms: 0.0 },
-                        ];
-                        for event in events.clone() {
-                            emit(&job, &mut inner, event);
-                        }
-                        InferenceOutcome {
-                            loops: Vec::new(),
-                            valid: false,
-                            cegis_rounds_used: 0,
-                            runtime: took,
-                            report: CheckReport::default(),
-                            stopped: Some(StopReason::TaskPanicked),
-                            events,
-                        }
-                    }
-                };
-                finish_job(shared, &job, inner, outcome);
-            }
         }
     }
 }
@@ -729,7 +647,7 @@ fn run_stage_task(shared: &Arc<Shared>, job: &Arc<JobRun>, task: Task, enqueued:
     let took = t0.elapsed();
     match result {
         Ok(done) => {
-            shared.metrics.observe_task(kind.as_str(), took);
+            shared.metrics.observe_task(kind, took);
             let mut inner = job.inner.lock().unwrap();
             inner.stats.busy += took;
             inner.stats.tasks += 1;
@@ -811,39 +729,45 @@ fn run_stage_task(shared: &Arc<Shared>, job: &Arc<JobRun>, task: Task, enqueued:
 /// events so far intact) and publishes it. Caller holds the inner lock.
 fn fail_job(shared: &Arc<Shared>, job: &Arc<JobRun>, inner: &mut JobInner) {
     let reason = inner.failed.expect("failure reason set");
-    let outcome = match inner.staged.as_mut() {
-        Some(staged) => {
+    let outcome = match inner.staged.take() {
+        Some(mut staged) => {
             let outcome = staged.abort(reason);
-            let events = staged.take_events();
-            for event in events {
+            for event in staged.take_events() {
                 emit(job, inner, event);
             }
             *outcome
         }
         // The machine never unfolded (panic on the very first batch
-        // before `advance` produced state) — synthesize the minimal
-        // structured outcome.
-        None => {
-            let events = vec![
-                Event::JobStopped { reason },
-                Event::JobFinished { valid: false, cegis_rounds: 0, ms: 0.0 },
-            ];
-            for event in events.clone() {
-                emit(job, inner, event);
-            }
-            InferenceOutcome {
-                loops: Vec::new(),
-                valid: false,
-                cegis_rounds_used: 0,
-                runtime: Duration::ZERO,
-                report: CheckReport::default(),
-                stopped: Some(reason),
-                events,
-            }
-        }
+        // before `advance` produced state).
+        None => stopped_outcome(job, inner, reason),
     };
-    inner.staged = None;
     store_outcome(shared, job, inner, outcome);
+}
+
+/// The minimal structured outcome of a job stopped before its state
+/// machine produced one: `JobStopped` + `JobFinished` (streamed to the
+/// sink), nothing learned, not valid.
+fn stopped_outcome(
+    job: &Arc<JobRun>,
+    inner: &mut JobInner,
+    reason: StopReason,
+) -> InferenceOutcome {
+    let events = vec![
+        Event::JobStopped { reason },
+        Event::JobFinished { valid: false, cegis_rounds: 0, ms: 0.0 },
+    ];
+    for event in events.clone() {
+        emit(job, inner, event);
+    }
+    InferenceOutcome {
+        loops: Vec::new(),
+        valid: false,
+        cegis_rounds_used: 0,
+        runtime: Duration::ZERO,
+        report: CheckReport::default(),
+        stopped: Some(reason),
+        events,
+    }
 }
 
 /// Advances a job's state machine, streams the fresh events, and either
@@ -870,15 +794,6 @@ fn advance_and_dispatch(shared: &Arc<Shared>, job: &Arc<JobRun>, inner: &mut Job
             store_outcome(shared, job, inner, *outcome);
         }
     }
-}
-
-fn finish_job(
-    shared: &Arc<Shared>,
-    job: &Arc<JobRun>,
-    mut inner: MutexGuard<'_, JobInner>,
-    outcome: InferenceOutcome,
-) {
-    store_outcome(shared, job, &mut inner, outcome);
 }
 
 /// Publishes a finished outcome: wakes waiters, runs the done hook, and
@@ -962,21 +877,34 @@ mod tests {
         sched.shutdown();
     }
 
+    /// The workers are gone once `shutdown` returns, so a later
+    /// submission must not queue work nobody pops: its ticket resolves
+    /// at once as cancelled, through the sink and the done hook too.
     #[test]
-    fn whole_job_granularity_matches_stage_granularity() {
-        let sched = Scheduler::new(SchedConfig::with_workers(2));
-        let staged = sched.submit(quick_job("ps3"));
-        let whole = sched.submit_with(
-            quick_job("ps3"),
-            SubmitOptions { granularity: Granularity::WholeJob, ..SubmitOptions::default() },
-            None,
-            None,
-        );
-        let a = staged.wait();
-        let b = whole.wait();
-        assert_eq!(strip_ms(&a.events), strip_ms(&b.events));
-        assert_eq!(a.loops[0].formula, b.loops[0].formula);
+    fn submission_after_shutdown_resolves_at_once_as_cancelled() {
+        let sched = Scheduler::new(SchedConfig::with_workers(1));
         sched.shutdown();
+        let seen: Arc<StdMutex<Vec<String>>> = Arc::new(StdMutex::new(Vec::new()));
+        let sink_seen = seen.clone();
+        let hooked = Arc::new(AtomicU64::new(0));
+        let hook_count = hooked.clone();
+        let ticket = sched.submit_with(
+            quick_job("ps2"),
+            SubmitOptions::default(),
+            Some(Box::new(move |ev: &JobEvent| sink_seen.lock().unwrap().push(ev.event.to_json()))),
+            Some(Box::new(move |_, _| {
+                hook_count.fetch_add(1, Ordering::Relaxed);
+            })),
+        );
+        let outcome = ticket.try_outcome().expect("resolved before submit returns");
+        assert_eq!(outcome.stopped, Some(StopReason::Cancelled));
+        assert!(!outcome.valid);
+        let events: Vec<String> = outcome.events.iter().map(Event::to_json).collect();
+        assert_eq!(*seen.lock().unwrap(), events);
+        assert_eq!(hooked.load(Ordering::Relaxed), 1);
+        let m = sched.metrics();
+        assert_eq!((m.jobs_submitted, m.jobs_completed, m.tasks_executed), (1, 1, 0));
+        assert_eq!(sched.active_jobs(), 0);
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! cumulative bucket counts, which [`HistogramSnapshot::cumulative`]
 //! provides).
 
+use gcln_engine::TaskKind;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -79,9 +80,8 @@ pub struct Metrics {
     tasks_panicked: AtomicU64,
     jobs_quarantined: AtomicU64,
     queue_wait: Mutex<Histogram>,
-    /// Task execution latency per stage kind (label = `TaskKind::as_str`
-    /// or `"whole"` for job-granularity submissions).
-    tasks: Mutex<HashMap<&'static str, Histogram>>,
+    /// Task execution latency per stage kind.
+    tasks: Mutex<HashMap<TaskKind, Histogram>>,
 }
 
 impl Metrics {
@@ -125,7 +125,7 @@ impl Metrics {
         self.queue_wait.lock().unwrap().observe(wait.as_secs_f64());
     }
 
-    pub(crate) fn observe_task(&self, kind: &'static str, took: Duration) {
+    pub(crate) fn observe_task(&self, kind: TaskKind, took: Duration) {
         self.tasks_executed.fetch_add(1, Ordering::Relaxed);
         self.busy_ns.fetch_add(took.as_nanos().min(u128::from(u64::MAX)) as u64, Ordering::Relaxed);
         self.tasks.lock().unwrap().entry(kind).or_default().observe(took.as_secs_f64());
@@ -138,7 +138,7 @@ impl Metrics {
             .lock()
             .unwrap()
             .iter()
-            .map(|(k, h)| (k.to_string(), h.snapshot()))
+            .map(|(k, h)| (k.as_str().to_string(), h.snapshot()))
             .collect();
         tasks.sort_by(|a, b| a.0.cmp(&b.0));
         MetricsSnapshot {
@@ -170,7 +170,7 @@ pub struct MetricsSnapshot {
     pub jobs_submitted: u64,
     /// Jobs that produced an outcome.
     pub jobs_completed: u64,
-    /// Tasks executed (all kinds, including whole-job runs).
+    /// Stage tasks executed (all kinds).
     pub tasks_executed: u64,
     /// Stage tasks re-enqueued after a transient (injected) fault.
     pub tasks_retried: u64,
@@ -181,7 +181,8 @@ pub struct MetricsSnapshot {
     pub jobs_quarantined: u64,
     /// Time tasks spent in the ready queue before a worker picked them.
     pub queue_wait: HistogramSnapshot,
-    /// Execution latency per task kind, sorted by kind label.
+    /// Execution latency per task kind, keyed and sorted by
+    /// [`TaskKind::as_str`] label.
     pub tasks: Vec<(String, HistogramSnapshot)>,
 }
 
@@ -220,7 +221,7 @@ mod tests {
     #[test]
     fn utilization_is_bounded() {
         let m = Metrics::new(2);
-        m.observe_task("train", Duration::from_millis(5));
+        m.observe_task(TaskKind::Train, Duration::from_millis(5));
         std::thread::sleep(Duration::from_millis(2));
         let snap = m.snapshot();
         assert!(snap.utilization() >= 0.0 && snap.utilization() <= 1.0);

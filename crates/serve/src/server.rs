@@ -42,7 +42,7 @@ use crate::limiter::{Admission, RateLimit, RateLimiter};
 use gcln_engine::cache::TraceCache;
 use gcln_engine::events::json_string;
 use gcln_engine::{CancelToken, Engine, Event, Job, PipelineConfig, MAX_DEGREE_OVERRIDE};
-use gcln_sched::{Granularity, JobEvent, SchedConfig, Scheduler, SubmitOptions};
+use gcln_sched::{JobEvent, SchedConfig, Scheduler, SubmitOptions};
 use std::collections::HashMap;
 use std::net::{IpAddr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -783,7 +783,6 @@ fn launch_job(
         job,
         SubmitOptions {
             priority: record.priority,
-            granularity: Granularity::Stage,
             // Keyed by source hash: repeated panics on the same spec
             // trip the scheduler's circuit breaker, and later
             // submissions of that spec fail fast as `quarantined`.
